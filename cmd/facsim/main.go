@@ -61,8 +61,14 @@ func main() {
 		fatal(err)
 	}
 
+	if *facOn {
+		// -fac is shorthand for -predictor fac; it cannot also name another.
+		if *predName != "" && *predName != "fac" {
+			fatal(fmt.Errorf("-fac conflicts with -predictor %q", *predName))
+		}
+		*predName = "fac"
+	}
 	cfg := pipeline.DefaultConfig()
-	cfg.FAC = *facOn
 	cfg.Predictor = *predName
 	cfg.SpeculateRegReg = *rr
 	cfg.DCache.BlockSize = *block
@@ -122,7 +128,7 @@ mem footprint     %d KB
 	if *hist {
 		fmt.Printf("load latency (issue to use, cycles):\n%s", stats.FormatHist(st.LoadLatency, "cyc"))
 	}
-	if name := cfg.PredictorName(); name != "" {
+	if name := cfg.Predictor; name != "" {
 		fmt.Printf(`address prediction (%s):
   loads speculated   %d (%.1f%% failed)
   stores speculated  %d (%.1f%% failed)
@@ -161,7 +167,7 @@ mem footprint     %d KB
 // machineName summarizes the CLI-configured machine for the RunRecord.
 func machineName(cfg pipeline.Config) string {
 	name := "base"
-	if p := cfg.PredictorName(); p != "" {
+	if p := cfg.Predictor; p != "" {
 		name = p
 	}
 	name += fmt.Sprintf("%d", cfg.DCache.BlockSize)
@@ -259,7 +265,7 @@ func (s *limitedSource) Next() (emu.Trace, bool, error) {
 // printTrace simulates the first n instructions on the configured
 // machine, printing each issue with its observability annotations.
 func printTrace(p *prog.Program, cfg pipeline.Config, n int) error {
-	name := cfg.PredictorName()
+	name := cfg.Predictor
 	sink := &traceSink{predName: name, signals: predict.SignalNamesFor(name)}
 	if name == "selective" && cfg.StaticTable == nil {
 		cfg.StaticTable = predict.BuildStaticTable(p, cfg.FACGeometry())

@@ -56,7 +56,9 @@ main:
 		cfg := pipeline.DefaultConfig()
 		cfg.PerfectICache = true
 		cfg.PerfectDCache = true
-		cfg.FAC = facOn
+		if facOn {
+			cfg.Predictor = "fac"
+		}
 		res, err := core.BuildAndRun(src, prog.DefaultConfig(), cfg, 1000)
 		if err != nil {
 			log.Fatal(err)

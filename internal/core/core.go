@@ -91,7 +91,7 @@ func RunCtx(ctx context.Context, p *prog.Program, machine pipeline.Config, maxIn
 	// The selective machine consults staticfac verdicts baked per linked
 	// program; this is the layer that has the program in hand, so the bake
 	// happens here unless the caller supplied a table already.
-	if machine.PredictorName() == "selective" && machine.StaticTable == nil {
+	if machine.Predictor == "selective" && machine.StaticTable == nil {
 		machine.StaticTable = predict.BuildStaticTable(p, machine.FACGeometry())
 	}
 	e := emu.New(p)

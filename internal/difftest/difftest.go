@@ -65,7 +65,7 @@ func Machines() []Machine {
 	base := shrink(pipeline.DefaultConfig())
 
 	fac32 := base
-	fac32.FAC = true
+	fac32.Predictor = "fac"
 
 	fac16 := fac32
 	fac16.FACGeom = fac.Config{BlockBits: 4, SetBits: 10}
@@ -226,7 +226,7 @@ func RunMachines(p *prog.Program, maxInsts uint64, machines []Machine) error {
 	for _, m := range machines {
 		e := emu.New(p)
 		e.MaxInsts = maxInsts
-		if m.Cfg.PredictorName() == "selective" && m.Cfg.StaticTable == nil {
+		if m.Cfg.Predictor == "selective" && m.Cfg.StaticTable == nil {
 			m.Cfg.StaticTable = predict.BuildStaticTable(p, m.Cfg.FACGeometry())
 		}
 		ck := newChecker(m)
@@ -235,7 +235,7 @@ func RunMachines(p *prog.Program, maxInsts uint64, machines []Machine) error {
 		// The static oracle cross-checks per-site outcomes against the
 		// operand-based FAC algebra; history machines (pcax, stride) guess
 		// from past addresses, so only fac-shaped machines are checked.
-		if name := m.Cfg.PredictorName(); name == "fac" || name == "selective" {
+		if name := m.Cfg.Predictor; name == "fac" || name == "selective" {
 			sites = obs.NewSiteCollector()
 			sink = obs.Tee{ck, sites}
 		}

@@ -8,20 +8,31 @@ import (
 	"repro/internal/workload"
 )
 
+// machinePredictors lists every Machine constant with the address-
+// prediction machine it must select: "fac" for the paper's machines, the
+// zoo machine's own name, "" for the non-speculating ones. A FAC machine
+// whose predictor is lost silently becomes the baseline, so the table
+// covers them all.
+var machinePredictors = []struct {
+	m    Machine
+	pred string
+}{
+	{MBase32, ""}, {MBase16, ""}, {MOneCycle, ""}, {MPerfect, ""}, {MOnePerfect, ""},
+	{MFAC16, "fac"}, {MFAC32, "fac"}, {MFAC16RR, "fac"}, {MFAC32RR, "fac"},
+	{MFAC32Tag, "fac"}, {MFAC32SB4, "fac"}, {MFAC32SB64, "fac"}, {MFAC32MSHR1, "fac"},
+	{MAGI, ""},
+	{MPCAX, "pcax"}, {MStride, "stride"}, {MSelective, "selective"},
+}
+
 func TestMachineConfigsValid(t *testing.T) {
-	machines := []Machine{
-		MBase32, MBase16, MOneCycle, MPerfect, MOnePerfect,
-		MFAC16, MFAC32, MFAC16RR, MFAC32RR,
-		MFAC32Tag, MFAC32SB4, MFAC32SB64, MFAC32MSHR1,
-	}
-	for _, m := range machines {
-		cfg, err := MachineConfig(m)
+	for _, tc := range machinePredictors {
+		cfg, err := MachineConfig(tc.m)
 		if err != nil {
-			t.Errorf("MachineConfig(%s): %v", m, err)
+			t.Errorf("MachineConfig(%s): %v", tc.m, err)
 			continue
 		}
 		if err := cfg.Validate(); err != nil {
-			t.Errorf("config %s invalid: %v", m, err)
+			t.Errorf("config %s invalid: %v", tc.m, err)
 		}
 	}
 	if _, err := MachineConfig("nope"); err == nil {
@@ -30,16 +41,22 @@ func TestMachineConfigsValid(t *testing.T) {
 }
 
 func TestMachineConfigKnobs(t *testing.T) {
+	for _, tc := range machinePredictors {
+		c, _ := MachineConfig(tc.m)
+		if got := c.PredictorName(); got != tc.pred {
+			t.Errorf("%s: PredictorName() = %q, want %q", tc.m, got, tc.pred)
+		}
+	}
 	c, _ := MachineConfig(MFAC16)
-	if !c.FAC || c.DCache.BlockSize != 16 || c.SpeculateRegReg {
+	if c.DCache.BlockSize != 16 || c.SpeculateRegReg {
 		t.Errorf("MFAC16 = %+v", c)
 	}
 	c, _ = MachineConfig(MFAC32RR)
-	if !c.FAC || !c.SpeculateRegReg {
+	if !c.SpeculateRegReg {
 		t.Errorf("MFAC32RR = %+v", c)
 	}
 	c, _ = MachineConfig(MOneCycle)
-	if c.LoadLatency != 1 || c.FAC {
+	if c.LoadLatency != 1 {
 		t.Errorf("MOneCycle = %+v", c)
 	}
 	c, _ = MachineConfig(MFAC32Tag)

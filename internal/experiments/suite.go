@@ -9,17 +9,12 @@ package experiments
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"runtime"
-	"strconv"
 	"sync"
 
 	"repro/internal/core"
-	"repro/internal/depslog"
 	"repro/internal/fac"
 	"repro/internal/obs"
 	"repro/internal/pipeline"
@@ -76,28 +71,28 @@ func MachineConfig(m Machine) (pipeline.Config, error) {
 		cfg.LoadLatency = 1
 		cfg.PerfectDCache = true
 	case MFAC16:
-		cfg.FAC = true
+		cfg.Predictor = "fac"
 		cfg.DCache.BlockSize = 16
 	case MFAC32:
-		cfg.FAC = true
+		cfg.Predictor = "fac"
 	case MFAC16RR:
-		cfg.FAC = true
+		cfg.Predictor = "fac"
 		cfg.DCache.BlockSize = 16
 		cfg.SpeculateRegReg = true
 	case MFAC32RR:
-		cfg.FAC = true
+		cfg.Predictor = "fac"
 		cfg.SpeculateRegReg = true
 	case MFAC32Tag:
-		cfg.FAC = true
+		cfg.Predictor = "fac"
 		cfg.FACGeom = fac.Config{BlockBits: 5, SetBits: 14, TagAdder: true}
 	case MFAC32SB4:
-		cfg.FAC = true
+		cfg.Predictor = "fac"
 		cfg.StoreBufferEntries = 4
 	case MFAC32SB64:
-		cfg.FAC = true
+		cfg.Predictor = "fac"
 		cfg.StoreBufferEntries = 64
 	case MFAC32MSHR1:
-		cfg.FAC = true
+		cfg.Predictor = "fac"
 		cfg.DCache.MSHRs = 1
 	case MAGI:
 		cfg.AGI = true
@@ -141,15 +136,14 @@ type Suite struct {
 	timings  map[string]pipeline.Stats
 	records  map[string]obs.RunRecord
 	disk     *simsvc.DiskCache
-	deps     *depslog.Log
 	remote   *simsvc.Client
 	counts   RunCounts
 }
 
 // RunCounts is the suite's execution accounting for one process: where
-// each timing run's result actually came from. DepsClean counts runs the
-// deps log proved unchanged (and the cache then served) — an unchanged
-// grid re-run reports Simulated == 0 with DepsClean == everything.
+// each timing run's result actually came from. An unchanged grid re-run
+// against a warm persistent cache reports Simulated == 0 with CacheHits ==
+// everything.
 type RunCounts struct {
 	// Simulated counts fresh local simulations.
 	Simulated int `json:"simulated"`
@@ -157,8 +151,6 @@ type RunCounts struct {
 	Remote int `json:"remote"`
 	// CacheHits counts runs rehydrated from the persistent disk cache.
 	CacheHits int `json:"cache_hits"`
-	// DepsClean counts cache hits the deps log had already proven clean.
-	DepsClean int `json:"deps_clean"`
 }
 
 // NewSuite creates an experiment suite.
@@ -180,17 +172,6 @@ func NewSuite() *Suite {
 func (s *Suite) SetCache(c *simsvc.DiskCache) {
 	s.mu.Lock()
 	s.disk = c
-	s.mu.Unlock()
-}
-
-// SetDeps attaches a dependency log: every build and timing run records
-// its input hashes, and a run whose recorded inputs are unchanged is
-// counted clean instead of dirty when the cache serves it. The log is
-// what turns "the cache happened to hit" into "nothing needed to run":
-// cmd/experiments -deps reports the clean/dirty split after each pass.
-func (s *Suite) SetDeps(l *depslog.Log) {
-	s.mu.Lock()
-	s.deps = l
 	s.mu.Unlock()
 }
 
@@ -254,15 +235,7 @@ func (s *Suite) Program(w workload.Workload, tc string) (*prog.Program, error) {
 		}
 		s.mu.Lock()
 		s.programs[key] = p
-		deps := s.deps
 		s.mu.Unlock()
-		if deps != nil {
-			// Build nodes complete the source → binary → run chain in the
-			// log. The build is a pure function of its inputs, so the
-			// output id is content-derived too.
-			in := map[string]string{"source": shaHex(w.Source), "toolchain": tc}
-			_ = deps.Record("build|"+key, in, shaHex(w.Source+"|"+tc))
-		}
 		return p, nil
 	})
 	if err != nil {
@@ -334,7 +307,6 @@ func (s *Suite) timing(ctx context.Context, w workload.Workload, tc string, m Ma
 		return st, nil
 	}
 	disk := s.disk
-	deps := s.deps
 	remote := s.remote
 	s.mu.Unlock()
 
@@ -347,22 +319,9 @@ func (s *Suite) timing(ctx context.Context, w workload.Workload, tc string, m Ma
 		s.mu.Unlock()
 
 		var diskKey string
-		if disk != nil || deps != nil {
+		if disk != nil {
 			if k, err := simsvc.CacheKey(w, tc, string(m), cfg, s.MaxInsts); err == nil {
 				diskKey = k
-			}
-		}
-		node := "run|" + key
-		var inputs map[string]string
-		clean := false
-		if deps != nil && diskKey != "" {
-			inputs = runInputs(w, tc, m, cfg, s.MaxInsts)
-			// Clean means: this node last ran with exactly these input
-			// hashes and produced exactly this cache key. The result still
-			// has to come from the cache — a clean node whose entry was
-			// evicted is re-executed (and the accounting shows it).
-			if out, ok := deps.Clean(node, inputs); ok && out == diskKey {
-				clean = true
 			}
 		}
 		finish := func(st pipeline.Stats, rec obs.RunRecord, bump func(*RunCounts)) {
@@ -370,11 +329,6 @@ func (s *Suite) timing(ctx context.Context, w workload.Workload, tc string, m Ma
 			s.mu.Lock()
 			bump(&s.counts)
 			s.mu.Unlock()
-			if deps != nil && diskKey != "" {
-				// Best effort: a lost deps entry only costs a "dirty" verdict
-				// (and a cache probe) next run.
-				_ = deps.Record(node, inputs, diskKey)
-			}
 		}
 
 		// Persistent cache: a prior process (this tool or the facd daemon)
@@ -382,12 +336,7 @@ func (s *Suite) timing(ctx context.Context, w workload.Workload, tc string, m Ma
 		if disk != nil && diskKey != "" {
 			if rec, ok := disk.Get(diskKey); ok {
 				st := pipeline.StatsFromRecord(rec)
-				finish(st, rec, func(c *RunCounts) {
-					c.CacheHits++
-					if clean {
-						c.DepsClean++
-					}
-				})
+				finish(st, rec, func(c *RunCounts) { c.CacheHits++ })
 				return st, nil
 			}
 		}
@@ -440,29 +389,6 @@ func (s *Suite) timing(ctx context.Context, w workload.Workload, tc string, m Ma
 		return pipeline.Stats{}, err
 	}
 	return v.(pipeline.Stats), nil
-}
-
-// runInputs hashes every input a timing run consumes, for the deps log.
-// The set mirrors simsvc's cacheKeyDoc: if any hash here changes, the
-// run's cache key changes too, so clean verdicts and cache hits can
-// never disagree about what "unchanged" means.
-func runInputs(w workload.Workload, tc string, m Machine, cfg pipeline.Config, maxInsts uint64) map[string]string {
-	cfgJSON, _ := json.Marshal(cfg)
-	return map[string]string{
-		"source":    shaHex(w.Source),
-		"expected":  shaHex(w.Expected),
-		"toolchain": tc,
-		"machine":   string(m),
-		"config":    shaHex(string(cfgJSON)),
-		"max_insts": strconv.FormatUint(maxInsts, 10),
-		"simulator": simsvc.Version,
-		"schema":    obs.RunRecordSchema,
-	}
-}
-
-func shaHex(s string) string {
-	h := sha256.Sum256([]byte(s))
-	return hex.EncodeToString(h[:])
 }
 
 // memoize records a finished timing run. The disk-sourced RunRecord is

@@ -34,7 +34,9 @@ type SweepResult struct {
 func sweepConfig(size int, facOn bool) pipeline.Config {
 	cfg := pipeline.DefaultConfig()
 	cfg.DCache = cache.Config{Size: size, BlockSize: 32, Assoc: 1, MissLatency: 16, MSHRs: 8}
-	cfg.FAC = facOn
+	if facOn {
+		cfg.Predictor = "fac"
+	}
 	return cfg
 }
 

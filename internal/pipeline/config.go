@@ -62,18 +62,15 @@ type Config struct {
 	StoreBufferEntries int
 
 	// Fast address calculation.
-	FAC             bool       // deprecated alias for Predictor: "fac" (kept so existing configs stay byte-identical)
 	FACGeom         fac.Config // predictor geometry (derived from DCache if zero)
 	SpeculateRegReg bool       // speculate register+register-mode accesses (operand-based machines)
 	SpeculateStores bool       // speculate stores (enter buffer in EX)
 
 	// Predictor selects an address-prediction machine from internal/predict
-	// ("fac", "pcax", "stride", "selective"); empty disables speculation
-	// unless the deprecated FAC alias above is set. PredictorEntries and
-	// PredictorTagBits size the table machines (zero selects the package
-	// defaults; PredictorTagBits may be predict.FullTags). The new fields
-	// are omitempty so configs predating the zoo marshal — and therefore
-	// cache-key and deps-log hash — exactly as before.
+	// ("fac", "pcax", "stride", "selective"); empty disables speculation.
+	// PredictorEntries and PredictorTagBits size the table machines (zero
+	// selects the package defaults; PredictorTagBits may be
+	// predict.FullTags).
 	Predictor        string `json:",omitempty"`
 	PredictorEntries int    `json:",omitempty"`
 	PredictorTagBits int    `json:",omitempty"`
@@ -97,7 +94,7 @@ type Config struct {
 	// introduces an address-use hazard (an ALU result feeding a base
 	// register costs a bubble) and lengthens the branch resolution path;
 	// callers should also raise MispredictPenalty by one (MachineConfig's
-	// "agi" machine does). Mutually exclusive with FAC.
+	// "agi" machine does). Mutually exclusive with address prediction.
 	AGI bool
 }
 
@@ -132,18 +129,9 @@ func DefaultConfig() Config {
 	}
 }
 
-// PredictorName resolves the configured address-prediction machine:
-// Predictor when set, "fac" under the deprecated FAC alias, "" when the
-// machine does not speculate.
-func (c Config) PredictorName() string {
-	if c.Predictor != "" {
-		return c.Predictor
-	}
-	if c.FAC {
-		return "fac"
-	}
-	return ""
-}
+// PredictorName returns Predictor: the configured address-prediction
+// machine, "" when the machine does not speculate.
+func (c Config) PredictorName() string { return c.Predictor }
 
 // FACGeometry returns the predictor geometry the simulator will use:
 // FACGeom when set, otherwise the geometry derived from the data cache
@@ -194,10 +182,7 @@ func (c Config) Validate() error {
 	if c.StoreBufferEntries <= 0 {
 		return fmt.Errorf("pipeline: StoreBufferEntries must be positive")
 	}
-	if c.FAC && c.Predictor != "" && c.Predictor != "fac" {
-		return fmt.Errorf("pipeline: deprecated FAC alias conflicts with Predictor %q", c.Predictor)
-	}
-	if name := c.PredictorName(); name != "" {
+	if name := c.Predictor; name != "" {
 		known := false
 		for _, n := range predict.Names() {
 			if n == name {
@@ -264,11 +249,9 @@ type Stats struct {
 	LoadFailKinds  [fac.NumFailureSignals]uint64
 	StoreFailKinds [fac.NumFailureSignals]uint64
 
-	// FACEnabled records whether the run speculated (an address-prediction
-	// machine was active); Predictor names it ("fac" for the paper's
-	// machine, including runs configured through the deprecated alias).
-	FACEnabled bool
-	Predictor  string
+	// Predictor names the address-prediction machine the run speculated
+	// with ("fac" for the paper's machine), "" when it did not speculate.
+	Predictor string
 
 	ICache cache.Stats
 	DCache cache.Stats
@@ -310,7 +293,7 @@ func (s Stats) Record(benchmark, class, toolchain, machine string) obs.RunRecord
 		LoadLatency: s.LoadLatency,
 	}
 	r.Stalls.FromCounts(s.StallCycles)
-	if s.FACEnabled {
+	if s.Predictor != "" {
 		f := &obs.FACRecord{
 			LoadsSpeculated:  s.LoadsSpeculated,
 			LoadFails:        s.LoadSpecFailed,
@@ -318,7 +301,7 @@ func (s Stats) Record(benchmark, class, toolchain, machine string) obs.RunRecord
 			StoreFails:       s.StoreSpecFailed,
 			ExtraAccesses:    s.ExtraAccesses,
 		}
-		if s.Predictor == "" || s.Predictor == "fac" {
+		if s.Predictor == "fac" {
 			// The paper's machine keeps its original encoding — the four
 			// named failure-breakdown fields and nothing else — so records
 			// produced before the predictor zoo stay byte-identical.
@@ -375,7 +358,6 @@ func StatsFromRecord(r obs.RunRecord) Stats {
 	}
 	r.Stalls.ToCounts(&s.StallCycles)
 	if r.FAC != nil {
-		s.FACEnabled = true
 		s.LoadsSpeculated = r.FAC.LoadsSpeculated
 		s.LoadSpecFailed = r.FAC.LoadFails
 		s.StoresSpeculated = r.FAC.StoresSpeculated

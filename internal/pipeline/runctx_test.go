@@ -114,8 +114,7 @@ func TestStatsRecordRoundtrip(t *testing.T) {
 		s.LoadFailKinds[i] = uint64(2 + i)
 		s.StoreFailKinds[i] = uint64(5 + i)
 	}
-	s.FACEnabled = true
-	s.Predictor = "fac" // the simulator's resolved name for FAC runs
+	s.Predictor = "fac"
 	s.ICache.Accesses, s.ICache.Misses = 500, 20
 	s.ICache.DelayedHits, s.ICache.Evictions, s.ICache.Writebacks = 4, 19, 6
 	s.DCache.Accesses, s.DCache.Misses = 300, 30
@@ -163,7 +162,6 @@ func TestStatsRecordRoundtripPredictor(t *testing.T) {
 	s.LoadsNoPredict, s.StoresNoPredict = 12, 7
 	s.ExtraAccesses = 34
 	s.IssueActiveCycles = 300
-	s.FACEnabled = true
 	s.Predictor = "stride"
 	s.LoadFailKinds[0] = 25 // lastaddr
 	s.LoadFailKinds[1] = 5  // stridebreak

@@ -191,7 +191,7 @@ func RunCtx(ctx context.Context, cfg Config, src Source, sink obs.Sink) (Stats, 
 	} else {
 		s.batch = make([]emu.Trace, 1)
 	}
-	if name := cfg.PredictorName(); name != "" {
+	if name := cfg.Predictor; name != "" {
 		static := cfg.StaticTable
 		if name == "selective" && static == nil {
 			// No verdicts supplied (a raw-trace replay with no program
@@ -210,7 +210,6 @@ func RunCtx(ctx context.Context, cfg Config, src Source, sink obs.Sink) (Stats, 
 		}
 		s.pred = p
 		s.opBased = p.OperandBased()
-		s.stats.FACEnabled = true
 		s.stats.Predictor = name
 	}
 	if !cfg.PerfectICache {

@@ -74,7 +74,7 @@ func TestFigure1LoadUseStall(t *testing.T) {
 	base := mustRun(t, fastCfg(), mk())
 
 	cfgFAC := fastCfg()
-	cfgFAC.FAC = true
+	cfgFAC.Predictor = "fac"
 	// PerfectDCache drops the cache model but the predictor still runs.
 	withFAC := mustRun(t, cfgFAC, mk())
 
@@ -189,7 +189,7 @@ func TestFACMispredictReplay(t *testing.T) {
 		return trs
 	}
 	cfg := fastCfg()
-	cfg.FAC = true
+	cfg.Predictor = "fac"
 	st := mustRun(t, cfg, mk())
 	if st.LoadSpecFailed != 1 || st.ExtraAccesses != 1 {
 		t.Errorf("stats = %+v, want 1 failed speculation", st)
@@ -219,7 +219,7 @@ func TestPostMispredictRule(t *testing.T) {
 		return trs
 	}
 	cfg := fastCfg()
-	cfg.FAC = true
+	cfg.Predictor = "fac"
 
 	// The load mispredicts at its issue cycle n. The dependent add issues
 	// at n+2 (replay latency), and the second access at n+2 as well — past
@@ -410,7 +410,7 @@ func TestRegRegSpeculationSwitch(t *testing.T) {
 		return trs
 	}
 	cfg := fastCfg()
-	cfg.FAC = true
+	cfg.Predictor = "fac"
 	st := mustRun(t, cfg, mk())
 	if st.LoadsSpeculated != 0 {
 		t.Error("reg+reg speculated despite SpeculateRegReg=false")
@@ -427,7 +427,7 @@ func TestRegRegSpeculationSwitch(t *testing.T) {
 func TestFACStoreMispredictKeepsCorrectAddress(t *testing.T) {
 	cfg := fastCfg()
 	cfg.PerfectDCache = false
-	cfg.FAC = true
+	cfg.Predictor = "fac"
 	trs := seq(isa.Inst{Op: isa.SW, Rt: isa.T0, Rs: isa.T1, Imm: 364})
 	setMem(&trs[0], 0x7fff5b84, 364, false) // mispredicts
 	st := mustRun(t, cfg, trs)

@@ -32,8 +32,10 @@ import (
 // Version identifies the simulator for cache addressing: it is folded
 // into every cache key, so bump it whenever a change alters simulated
 // timing (the committed BENCH_pipeline.json moving is the signal) to
-// invalidate stale persisted results.
-const Version = "facd/1"
+// invalidate stale persisted results. facd/2: pipeline.Config lost its
+// "FAC" key (FAC machines now set "Predictor": "fac"), so the config JSON
+// hashed into every key changed; the bump makes that change deliberate.
+const Version = "facd/2"
 
 // DefaultMaxInsts is the default dynamic instruction bound, shared with
 // experiments.Suite so daemon jobs and in-process experiment runs hit the
@@ -157,10 +159,9 @@ func (r *Runner) CacheStats() (DiskCacheStats, bool) {
 }
 
 // Key derives the content-addressed cache key of a spec by resolving it
-// the same way Run does. This is the fleet's shard key and the deps
-// log's run-node hash: every consumer of "the identity of this run"
-// goes through here, so sharding, dedup, caching, and incremental
-// rebuilds all agree on what "the same run" means.
+// the same way Run does. This is the fleet's shard key: every consumer
+// of "the identity of this run" goes through here, so sharding, dedup,
+// and caching all agree on what "the same run" means.
 func (r *Runner) Key(spec JobSpec) (string, error) {
 	w, err := workload.ByName(spec.Workload)
 	if err != nil {
