@@ -1,167 +1,34 @@
 package main
 
 import (
-	"bufio"
 	"bytes"
-	"encoding/json"
+	"context"
 	"fmt"
-	"io"
 	"net/http"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"strings"
 	"syscall"
 	"time"
+
+	"repro/internal/simsvc"
 )
 
-// proc is one facd process under soak control: the command, its
-// announced base URL, and its captured stdout.
-type proc struct {
-	cmd      *exec.Cmd
-	base     string
-	out      *bytes.Buffer
-	scanDone chan struct{}
-}
+const (
+	fleetSize = 2  // worker daemons; a worker kill needs at least two
+	fleetJobs = 12 // batch size
+)
 
-// startFacd launches one facd and waits for its listening announcement.
-func startFacd(bin string, args ...string) (*proc, error) {
-	cmd := exec.Command(bin, args...)
-	stdout, err := cmd.StdoutPipe()
-	if err != nil {
-		return nil, err
-	}
-	cmd.Stderr = os.Stderr
-	if err := cmd.Start(); err != nil {
-		return nil, fmt.Errorf("start facd: %w", err)
-	}
-	p := &proc{cmd: cmd, out: &bytes.Buffer{}, scanDone: make(chan struct{})}
-	ready := make(chan string, 1)
-	go func() {
-		defer close(p.scanDone)
-		sc := bufio.NewScanner(stdout)
-		for sc.Scan() {
-			line := sc.Text()
-			p.out.WriteString(line + "\n")
-			if addr, ok := strings.CutPrefix(line, "facd listening on "); ok {
-				select {
-				case ready <- addr:
-				default:
-				}
-			}
-		}
-	}()
-	select {
-	case addr := <-ready:
-		p.base = "http://" + addr
-		return p, nil
-	case <-time.After(30 * time.Second):
-		cmd.Process.Kill()
-		return nil, fmt.Errorf("facd never announced its address")
-	}
-}
-
-func postBatch(httpc *http.Client, base string, jobs []map[string]any) (batch string, err error) {
-	body, err := json.Marshal(map[string]any{"jobs": jobs})
-	if err != nil {
-		return "", err
-	}
-	resp, err := httpc.Post(base+"/v1/batches", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return "", err
-	}
-	var sub struct {
-		Batch string `json:"batch"`
-		Error string `json:"error"`
-	}
-	err = json.NewDecoder(resp.Body).Decode(&sub)
-	resp.Body.Close()
-	if err != nil {
-		return "", err
-	}
-	if resp.StatusCode != http.StatusAccepted {
-		return "", fmt.Errorf("submit status %d: %s", resp.StatusCode, sub.Error)
-	}
-	return sub.Batch, nil
-}
-
-type batchCounts struct {
-	Terminal  bool `json:"terminal"`
-	Total     int  `json:"total"`
-	Done      int  `json:"done"`
-	Failed    int  `json:"failed"`
-	Cancelled int  `json:"cancelled"`
-}
-
-func waitBatch(httpc *http.Client, base, batch string, timeout time.Duration) (batchCounts, error) {
-	deadline := time.Now().Add(timeout)
-	for {
-		var st batchCounts
-		resp, err := httpc.Get(base + "/v1/batches/" + batch)
-		if err != nil {
-			return st, err
-		}
-		err = json.NewDecoder(resp.Body).Decode(&st)
-		resp.Body.Close()
-		if err != nil {
-			return st, err
-		}
-		if st.Terminal {
-			return st, nil
-		}
-		if time.Now().After(deadline) {
-			return st, fmt.Errorf("batch %s not terminal after %v (%+v)", batch, timeout, st)
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-}
-
-func getReport(httpc *http.Client, base, batch string) ([]byte, error) {
-	resp, err := httpc.Get(base + "/v1/batches/" + batch + "/report")
-	if err != nil {
-		return nil, err
-	}
-	data, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("report status %d: %s", resp.StatusCode, data)
-	}
-	return data, nil
-}
-
-// runFleet soaks the distributed fabric: N workers, a coordinator
-// sharding over them, a mid-batch SIGKILL of one worker, and a
-// stand-alone reference daemon the surviving fleet must byte-match.
-func runFleet(o options) error {
-	if o.fleetSize < 2 {
-		return fmt.Errorf("-fleet-size %d: a worker kill needs at least 2", o.fleetSize)
-	}
-	tmp, err := os.MkdirTemp("", "facload-fleet")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(tmp)
-
-	bin := filepath.Join(tmp, "facd")
-	build := exec.Command("go", "build", "-o", bin, "./cmd/facd")
-	build.Stderr = os.Stderr
-	if err := build.Run(); err != nil {
-		return fmt.Errorf("build facd: %w", err)
-	}
-
+// soakFleet soaks the distributed fabric: workers, a coordinator sharding
+// over them, a mid-batch SIGKILL of one worker, and a stand-alone
+// reference daemon the surviving fleet must byte-match.
+func soakFleet(bin, tmp string) error {
 	// Workers: real simulating daemons, each with its own shard cache.
 	var workers []*proc
 	var workerURLs []string
-	for i := 0; i < o.fleetSize; i++ {
-		w, err := startFacd(bin,
-			"-addr", "127.0.0.1:0",
-			"-workers", "2",
-			"-queue", "64",
-			"-cache", filepath.Join(tmp, fmt.Sprintf("cache%d", i)),
-		)
+	for i := 0; i < fleetSize; i++ {
+		w, err := startFacd(bin, "-workers", "2", "-queue", "64",
+			"-cache", filepath.Join(tmp, fmt.Sprintf("fleet-cache%d", i)))
 		if err != nil {
 			return fmt.Errorf("worker %d: %w", i, err)
 		}
@@ -170,16 +37,11 @@ func runFleet(o options) error {
 		workerURLs = append(workerURLs, w.base)
 	}
 
-	// The coordinator: same facd binary, no local simulation — its runner
+	// The coordinator: same facd binary, no local simulation; its runner
 	// is the fleet dispatcher. A short hedge delay keeps straggler
 	// re-dispatch fast once a worker is killed.
-	coord, err := startFacd(bin,
-		"-addr", "127.0.0.1:0",
-		"-workers", "4",
-		"-queue", "64",
-		"-coordinator", strings.Join(workerURLs, ","),
-		"-hedge-after", "2s",
-	)
+	coord, err := startFacd(bin, "-workers", "4", "-queue", "64",
+		"-coordinator", strings.Join(workerURLs, ","), "-hedge-after", "2s")
 	if err != nil {
 		return fmt.Errorf("coordinator: %w", err)
 	}
@@ -187,54 +49,35 @@ func runFleet(o options) error {
 
 	// The reference: one stand-alone daemon whose report bytes define
 	// correct output for the same batch.
-	ref, err := startFacd(bin, "-addr", "127.0.0.1:0", "-workers", "2", "-queue", "64")
+	ref, err := startFacd(bin, "-workers", "2", "-queue", "64")
 	if err != nil {
 		return fmt.Errorf("reference daemon: %w", err)
 	}
 	defer ref.cmd.Process.Kill()
 
 	httpc := &http.Client{Timeout: 5 * time.Minute}
-	fmt.Printf("facload: fleet soak — coordinator %s over %d workers, reference %s\n",
+	coordC := &simsvc.Client{Base: coord.base, HTTPClient: httpc}
+	refC := &simsvc.Client{Base: ref.base, HTTPClient: httpc}
+	fmt.Printf("facload: fleet soak: coordinator %s over %d workers, reference %s\n",
 		coord.base, len(workers), ref.base)
 
 	// Probe the workload's natural instruction count through the
-	// coordinator itself, which also proves the dispatch path end to end.
-	probe, _ := json.Marshal(map[string]any{
-		"workload": o.workload, "toolchain": o.toolchain, "machine": o.machine,
-	})
-	presp, err := httpc.Post(coord.base+"/v1/run", "application/json", bytes.NewReader(probe))
+	// coordinator itself, which also proves the sync dispatch path.
+	ctx := context.Background()
+	rec, _, err := coordC.RunSync(ctx, simsvc.JobSpec{Workload: workload, Toolchain: toolchain, Machine: machine})
 	if err != nil {
 		return fmt.Errorf("probe run via coordinator: %w", err)
 	}
-	var probed struct {
-		Record struct {
-			Insts uint64 `json:"instructions"`
-		} `json:"record"`
-		Error string `json:"error"`
-	}
-	err = json.NewDecoder(presp.Body).Decode(&probed)
-	presp.Body.Close()
-	if err != nil {
-		return err
-	}
-	if presp.StatusCode != http.StatusOK || probed.Record.Insts == 0 {
-		return fmt.Errorf("probe run status %d: %s", presp.StatusCode, probed.Error)
-	}
-	natural := probed.Record.Insts
 
 	// One batch of unique jobs (distinct max_insts above the natural
-	// count → distinct shard keys, identical timing), so the batch spreads
+	// count: distinct shard keys, identical timing), so the batch spreads
 	// over the ring and every job costs a real simulation somewhere.
-	var jobs []map[string]any
-	for i := 0; i < o.fleetJobs; i++ {
-		jobs = append(jobs, map[string]any{
-			"workload":  o.workload,
-			"toolchain": o.toolchain,
-			"machine":   o.machine,
-			"max_insts": natural + 1 + uint64(i),
-		})
+	jobs := make([]simsvc.JobSpec, fleetJobs)
+	for i := range jobs {
+		jobs[i] = simsvc.JobSpec{Workload: workload, Toolchain: toolchain, Machine: machine,
+			MaxInsts: rec.Insts + 1 + uint64(i)}
 	}
-	batch, err := postBatch(httpc, coord.base, jobs)
+	batch, _, err := coordC.Submit(ctx, jobs)
 	if err != nil {
 		return fmt.Errorf("fleet submit: %w", err)
 	}
@@ -243,31 +86,19 @@ func runFleet(o options) error {
 	// goodbye: its in-flight simulations die with the process and the
 	// coordinator must fail its shard over to the survivors.
 	victim := workers[0]
-	if err := victim.cmd.Process.Kill(); err != nil {
-		return err
-	}
-	victim.cmd.Wait()
+	_, _ = victim.stop(os.Kill) // the error is the "signal: killed" exit this step causes
 	fmt.Printf("facload: SIGKILLed worker %s mid-batch\n", victim.base)
 
-	st, err := waitBatch(httpc, coord.base, batch, 5*time.Minute)
-	if err != nil {
-		return err
+	if err := waitDone(coordC, batch, fleetJobs); err != nil {
+		return fmt.Errorf("after the worker kill: %w", err)
 	}
-	if st.Done != o.fleetJobs || st.Failed != 0 || st.Cancelled != 0 {
-		return fmt.Errorf("worker kill lost jobs: done=%d failed=%d cancelled=%d of %d",
-			st.Done, st.Failed, st.Cancelled, o.fleetJobs)
-	}
-	fleetReport, err := getReport(httpc, coord.base, batch)
+	fleetReport, err := coordC.Report(ctx, batch)
 	if err != nil {
 		return err
 	}
 
 	// Every shard saw work: the coordinator's /metrics fleet section must
 	// show a dispatch to each worker, including the one later killed.
-	mresp, err := httpc.Get(coord.base + "/metrics")
-	if err != nil {
-		return err
-	}
 	var metrics struct {
 		Fleet []struct {
 			URL        string `json:"url"`
@@ -275,9 +106,7 @@ func runFleet(o options) error {
 			Completed  uint64 `json:"completed"`
 		} `json:"fleet"`
 	}
-	err = json.NewDecoder(mresp.Body).Decode(&metrics)
-	mresp.Body.Close()
-	if err != nil {
+	if err := getJSON(coordC, "/metrics", &metrics); err != nil {
 		return err
 	}
 	if len(metrics.Fleet) != len(workers) {
@@ -291,23 +120,20 @@ func runFleet(o options) error {
 		}
 		totalCompleted += w.Completed
 	}
-	if totalCompleted < uint64(o.fleetJobs) {
-		return fmt.Errorf("fleet completed %d dispatches for %d jobs", totalCompleted, o.fleetJobs)
+	if totalCompleted < fleetJobs {
+		return fmt.Errorf("fleet completed %d dispatches for %d jobs", totalCompleted, fleetJobs)
 	}
 
 	// The reference daemon runs the identical batch; distribution and the
 	// worker kill must be invisible in the bytes.
-	refBatch, err := postBatch(httpc, ref.base, jobs)
+	refBatch, _, err := refC.Submit(ctx, jobs)
 	if err != nil {
 		return fmt.Errorf("reference submit: %w", err)
 	}
-	if st, err = waitBatch(httpc, ref.base, refBatch, 5*time.Minute); err != nil {
-		return err
+	if err := waitDone(refC, refBatch, fleetJobs); err != nil {
+		return fmt.Errorf("reference: %w", err)
 	}
-	if st.Done != o.fleetJobs {
-		return fmt.Errorf("reference batch done=%d of %d", st.Done, o.fleetJobs)
-	}
-	refReport, err := getReport(httpc, ref.base, refBatch)
+	refReport, err := refC.Report(ctx, refBatch)
 	if err != nil {
 		return err
 	}
@@ -316,42 +142,20 @@ func runFleet(o options) error {
 			fleetReport, refReport)
 	}
 	fmt.Printf("facload: %d jobs survived the worker kill, report byte-identical to reference (%d bytes)\n",
-		o.fleetJobs, len(fleetReport))
+		fleetJobs, len(fleetReport))
 
-	// Finally, the coordinator honors the same drain contract as a single
-	// daemon: SIGTERM mid-batch, exit 0, and the accounting identity
-	// submitted == completed+failed+cancelled with nothing dropped.
-	if _, err := postBatch(httpc, coord.base, jobs[:o.fleetJobs/2]); err != nil {
+	// Finally, the coordinator honours the same drain contract as a single
+	// daemon, SIGTERMed with a second batch in flight.
+	if _, _, err := coordC.Submit(ctx, jobs[:fleetJobs/2]); err != nil {
 		return fmt.Errorf("drain-batch submit: %w", err)
 	}
-	if err := coord.cmd.Process.Signal(syscall.SIGTERM); err != nil {
-		return err
+	out, err := coord.stop(syscall.SIGTERM)
+	if err != nil {
+		return fmt.Errorf("coordinator: %w", err)
 	}
-	select {
-	case <-coord.scanDone:
-	case <-time.After(5 * time.Minute):
-		return fmt.Errorf("coordinator did not exit after SIGTERM")
+	if err := checkDrain(out, fleetJobs+fleetJobs/2); err != nil {
+		return fmt.Errorf("coordinator: %w", err)
 	}
-	if err := coord.cmd.Wait(); err != nil {
-		return fmt.Errorf("coordinator exited uncleanly: %w\noutput:\n%s", err, coord.out.String())
-	}
-	m := drainLine.FindStringSubmatch(coord.out.String())
-	if m == nil {
-		return fmt.Errorf("coordinator missing clean-drain line; output:\n%s", coord.out.String())
-	}
-	var submitted, completed, failed, cancelled uint64
-	fmt.Sscanf(m[1], "%d", &submitted)
-	fmt.Sscanf(m[2], "%d", &completed)
-	fmt.Sscanf(m[3], "%d", &failed)
-	fmt.Sscanf(m[4], "%d", &cancelled)
-	if submitted != completed+failed+cancelled {
-		return fmt.Errorf("coordinator drain dropped jobs: submitted=%d completed+failed+cancelled=%d",
-			submitted, completed+failed+cancelled)
-	}
-	if failed != 0 {
-		return fmt.Errorf("coordinator drain failed jobs: %d", failed)
-	}
-	fmt.Printf("facload: coordinator drained cleanly (submitted=%d completed=%d cancelled=%d)\n",
-		submitted, completed, cancelled)
+	fmt.Printf("facload: coordinator drained cleanly (%d jobs)\n", fleetJobs+fleetJobs/2)
 	return nil
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -24,16 +23,15 @@ func resolveMachine(m string) (pipeline.Config, error) {
 	return experiments.MachineConfig(experiments.Machine(m))
 }
 
-// newWorkerDaemon starts one real worker facd: a full simsvc server over
-// a simulating runner with its own persistent cache.
-func newWorkerDaemon(t *testing.T) *httptest.Server {
+// daemonConfig sizes every test daemon's queue to take any test batch.
+var daemonConfig = simsvc.ServerConfig{Workers: 2, QueueDepth: 64}
+
+// startDaemon serves runner through a full simsvc server: a simulating
+// Runner for a worker or the stand-alone reference, a fleet Dispatcher
+// for a coordinator.
+func startDaemon(t *testing.T, cfg simsvc.ServerConfig, runner simsvc.JobRunner) *httptest.Server {
 	t.Helper()
-	cache, err := simsvc.OpenDiskCache(t.TempDir(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	runner := &simsvc.Runner{Resolve: resolveMachine, MaxInsts: e2eMaxInsts, Cache: cache}
-	s, err := simsvc.NewServer(simsvc.ServerConfig{Workers: 2, QueueDepth: 64}, runner)
+	s, err := simsvc.NewServer(cfg, runner)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,54 +46,37 @@ func newWorkerDaemon(t *testing.T) *httptest.Server {
 	return hs
 }
 
-// newCoordinator starts a coordinator facd whose JobRunner is a fleet
-// dispatcher over the given workers — the same server surface as a
-// single daemon, with execution sharded across the fleet.
-func newCoordinator(t *testing.T, workers []string, hedge, coolOff time.Duration) (string, *fleet.Dispatcher) {
+func simRunner(cache *simsvc.DiskCache) *simsvc.Runner {
+	return &simsvc.Runner{Resolve: resolveMachine, MaxInsts: e2eMaxInsts, Cache: cache}
+}
+
+// startFleet starts two real worker daemons, each simulating over its own
+// persistent cache, and a coordinator whose JobRunner is a fleet
+// dispatcher over them: the same server surface as a single daemon, with
+// execution sharded across the fleet.
+func startFleet(t *testing.T, hedge, coolOff time.Duration) (workers []*httptest.Server, coord *simsvc.Client, d *fleet.Dispatcher) {
 	t.Helper()
-	local := &simsvc.Runner{Resolve: resolveMachine, MaxInsts: e2eMaxInsts}
+	var urls []string
+	for i := 0; i < 2; i++ {
+		cache, err := simsvc.OpenDiskCache(t.TempDir(), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := startDaemon(t, daemonConfig, simRunner(cache))
+		workers = append(workers, w)
+		urls = append(urls, w.URL)
+	}
 	d, err := fleet.New(fleet.Config{
-		Workers:    workers,
-		Local:      local,
+		Workers:    urls,
+		Local:      simRunner(nil),
 		HedgeAfter: hedge,
 		CoolOff:    coolOff,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := simsvc.NewServer(simsvc.ServerConfig{Workers: 4, QueueDepth: 64}, d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Start()
-	hs := httptest.NewServer(s.Handler())
-	t.Cleanup(hs.Close)
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		s.Drain(ctx)
-	})
-	return hs.URL, d
-}
-
-// newSingleDaemon is the fleet's reference: one daemon simulating
-// locally, no dispatcher in the path.
-func newSingleDaemon(t *testing.T) string {
-	t.Helper()
-	runner := &simsvc.Runner{Resolve: resolveMachine, MaxInsts: e2eMaxInsts}
-	s, err := simsvc.NewServer(simsvc.ServerConfig{Workers: 2, QueueDepth: 64}, runner)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Start()
-	hs := httptest.NewServer(s.Handler())
-	t.Cleanup(hs.Close)
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		s.Drain(ctx)
-	})
-	return hs.URL
+	cs := startDaemon(t, simsvc.ServerConfig{Workers: 4, QueueDepth: 64}, d)
+	return workers, &simsvc.Client{Base: cs.URL}, d
 }
 
 // e2eJobs builds a job set whose shard keys cover every worker on the
@@ -111,7 +92,7 @@ func e2eJobs(t *testing.T, workers []string) []simsvc.JobSpec {
 		{Workload: "queens", Toolchain: "fac", Machine: "fac32"},
 		{Workload: "queens", Toolchain: "fac", Machine: "fac32+rr"},
 	}
-	local := &simsvc.Runner{Resolve: resolveMachine, MaxInsts: e2eMaxInsts}
+	local := simRunner(nil)
 	ring, err := fleet.NewRing(workers)
 	if err != nil {
 		t.Fatal(err)
@@ -141,76 +122,43 @@ func e2eJobs(t *testing.T, workers []string) []simsvc.JobSpec {
 	return jobs
 }
 
-func submitBatch(t *testing.T, base string, jobs []simsvc.JobSpec) (batch string, jobIDs []string) {
+func submit(t *testing.T, c *simsvc.Client, jobs []simsvc.JobSpec) (batch string, jobIDs []string) {
 	t.Helper()
-	body, _ := json.Marshal(map[string]any{"jobs": jobs})
-	resp, err := http.Post(base+"/v1/batches", "application/json", bytes.NewReader(body))
+	batch, jobIDs, err := c.Submit(context.Background(), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sub struct {
-		Batch string   `json:"batch"`
-		Jobs  []string `json:"jobs"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&sub); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("submit status %d", resp.StatusCode)
-	}
-	return sub.Batch, sub.Jobs
+	return batch, jobIDs
 }
 
-// waitBatchDone polls to terminal and fails the test if any job failed
-// or was lost.
-func waitBatchDone(t *testing.T, base, batch string, total int) {
+// waitReport waits for the batch to finish, fails the test if any job
+// failed or was lost, and returns the batch's report bytes.
+func waitReport(t *testing.T, c *simsvc.Client, batch string, total int) []byte {
 	t.Helper()
-	deadline := time.Now().Add(3 * time.Minute)
-	for {
-		if time.Now().After(deadline) {
-			t.Fatal("batch never finished")
-		}
-		resp, err := http.Get(base + "/v1/batches/" + batch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var st struct {
-			Terminal  bool `json:"terminal"`
-			Done      int  `json:"done"`
-			Failed    int  `json:"failed"`
-			Cancelled int  `json:"cancelled"`
-		}
-		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if st.Terminal {
-			if st.Done != total || st.Failed != 0 || st.Cancelled != 0 {
-				t.Fatalf("batch finished done=%d failed=%d cancelled=%d, want %d done",
-					st.Done, st.Failed, st.Cancelled, total)
-			}
-			return
-		}
-		time.Sleep(20 * time.Millisecond)
+	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Minute)
+	defer cancel()
+	st, err := c.WaitBatch(ctx, batch, 20*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
 	}
+	if st.Done != total || st.Failed != 0 || st.Cancelled != 0 {
+		t.Fatalf("batch finished done=%d failed=%d cancelled=%d, want %d done",
+			st.Done, st.Failed, st.Cancelled, total)
+	}
+	report, err := c.Report(ctx, batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return report
 }
 
-func fetchReport(t *testing.T, base, batch string) []byte {
+// referenceReport runs jobs on a stand-alone daemon simulating locally,
+// with no dispatcher in the path.
+func referenceReport(t *testing.T, jobs []simsvc.JobSpec) []byte {
 	t.Helper()
-	resp, err := http.Get(base + "/v1/batches/" + batch + "/report")
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("report status %d: %s", resp.StatusCode, data)
-	}
-	return data
+	ref := &simsvc.Client{Base: startDaemon(t, daemonConfig, simRunner(nil)).URL}
+	batch, _ := submit(t, ref, jobs)
+	return waitReport(t, ref, batch, len(jobs))
 }
 
 // TestE2EFleetMatchesSingleDaemon: a batch run through a coordinator and
@@ -222,19 +170,13 @@ func TestE2EFleetMatchesSingleDaemon(t *testing.T) {
 	if testing.Short() {
 		t.Skip("end-to-end simulation in -short mode")
 	}
-	w0, w1 := newWorkerDaemon(t), newWorkerDaemon(t)
-	workers := []string{w0.URL, w1.URL}
-	coord, disp := newCoordinator(t, workers, -1, 0)
-	jobs := e2eJobs(t, workers)
+	workers, coord, disp := startFleet(t, -1, 0)
+	w0, w1 := workers[0], workers[1]
+	jobs := e2eJobs(t, []string{w0.URL, w1.URL})
 
-	batch, jobIDs := submitBatch(t, coord, jobs)
-	waitBatchDone(t, coord, batch, len(jobs))
-	fleetReport := fetchReport(t, coord, batch)
-
-	single := newSingleDaemon(t)
-	refBatch, _ := submitBatch(t, single, jobs)
-	waitBatchDone(t, single, refBatch, len(jobs))
-	refReport := fetchReport(t, single, refBatch)
+	batch, jobIDs := submit(t, coord, jobs)
+	fleetReport := waitReport(t, coord, batch, len(jobs))
+	refReport := referenceReport(t, jobs)
 
 	if !bytes.Equal(fleetReport, refReport) {
 		t.Fatalf("fleet report differs from single daemon:\n--- fleet ---\n%s\n--- single ---\n%s",
@@ -255,7 +197,7 @@ func TestE2EFleetMatchesSingleDaemon(t *testing.T) {
 
 	// Job views attribute the serving worker.
 	for _, id := range jobIDs {
-		resp, err := http.Get(coord + "/v1/jobs/" + id)
+		resp, err := http.Get(coord.Base + "/v1/jobs/" + id)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -279,27 +221,21 @@ func TestE2EFleetSurvivesWorkerKill(t *testing.T) {
 	if testing.Short() {
 		t.Skip("end-to-end simulation in -short mode")
 	}
-	victim, survivor := newWorkerDaemon(t), newWorkerDaemon(t)
-	workers := []string{victim.URL, survivor.URL}
 	// Tight hedge/cool-off so the kill is absorbed quickly: in-flight
 	// requests die with the connection and fail over; stragglers hedge.
-	coord, disp := newCoordinator(t, workers, 300*time.Millisecond, 100*time.Millisecond)
-	jobs := e2eJobs(t, workers)
+	workers, coord, disp := startFleet(t, 300*time.Millisecond, 100*time.Millisecond)
+	victim, survivor := workers[0], workers[1]
+	jobs := e2eJobs(t, []string{victim.URL, survivor.URL})
 
-	batch, _ := submitBatch(t, coord, jobs)
+	batch, _ := submit(t, coord, jobs)
 	// SIGKILL equivalent for an httptest worker: sever live connections
 	// (aborting its in-flight simulations) and stop accepting new ones,
 	// while the batch is still in flight.
 	victim.CloseClientConnections()
 	victim.Close()
 
-	waitBatchDone(t, coord, batch, len(jobs))
-	fleetReport := fetchReport(t, coord, batch)
-
-	single := newSingleDaemon(t)
-	refBatch, _ := submitBatch(t, single, jobs)
-	waitBatchDone(t, single, refBatch, len(jobs))
-	refReport := fetchReport(t, single, refBatch)
+	fleetReport := waitReport(t, coord, batch, len(jobs))
+	refReport := referenceReport(t, jobs)
 
 	if !bytes.Equal(fleetReport, refReport) {
 		t.Fatalf("post-kill fleet report differs from single daemon:\n--- fleet ---\n%s\n--- single ---\n%s",

@@ -16,9 +16,9 @@ import (
 
 // Client is the HTTP client half of the service's transport: it speaks
 // the facd API (docs/SERVICE.md) so other processes — the fleet
-// coordinator's dispatcher, cmd/experiments -remote, cmd/facload, tests —
-// can submit work without re-implementing the wire format. A Client is
-// safe for concurrent use.
+// coordinator's dispatcher, cmd/experiments -remote, the cmd/facload
+// harness, the simsvc and fleet e2e tests — can submit work without
+// re-implementing the wire format. A Client is safe for concurrent use.
 type Client struct {
 	// Base is the daemon's base URL, e.g. "http://127.0.0.1:8080".
 	Base string

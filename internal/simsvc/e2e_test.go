@@ -5,7 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"io"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -46,64 +46,26 @@ func newDaemon(t *testing.T, cache *simsvc.DiskCache, cfg simsvc.ServerConfig) (
 	return s, runner, hs.URL
 }
 
-func submitAndWait(t *testing.T, base string, jobs []simsvc.JobSpec) (batchID string, report []byte) {
-	t.Helper()
-	body, _ := json.Marshal(map[string]any{"jobs": jobs})
-	resp, err := http.Post(base+"/v1/batches", "application/json", bytes.NewReader(body))
+// runBatch submits jobs, waits for the batch to finish with every job
+// done, and returns the batch's report bytes. It returns an error rather
+// than failing the test so that concurrent submitters can call it.
+func runBatch(base string, jobs []simsvc.JobSpec) ([]byte, error) {
+	c := &simsvc.Client{Base: base}
+	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Minute)
+	defer cancel()
+	batch, _, err := c.Submit(ctx, jobs)
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	var sub struct {
-		Batch string   `json:"batch"`
-		Jobs  []string `json:"jobs"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&sub); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("submit status %d", resp.StatusCode)
-	}
-
-	deadline := time.Now().Add(3 * time.Minute)
-	for {
-		if time.Now().After(deadline) {
-			t.Fatal("batch never finished")
-		}
-		br, err := http.Get(base + "/v1/batches/" + sub.Batch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var st struct {
-			Terminal bool    `json:"terminal"`
-			Failed   float64 `json:"failed"`
-		}
-		if err := json.NewDecoder(br.Body).Decode(&st); err != nil {
-			t.Fatal(err)
-		}
-		br.Body.Close()
-		if st.Terminal {
-			if st.Failed != 0 {
-				t.Fatalf("batch finished with %v failed jobs", st.Failed)
-			}
-			break
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-
-	rr, err := http.Get(base + "/v1/batches/" + sub.Batch + "/report")
+	st, err := c.WaitBatch(ctx, batch, 20*time.Millisecond)
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	data, err := io.ReadAll(rr.Body)
-	rr.Body.Close()
-	if err != nil {
-		t.Fatal(err)
+	if st.Done != st.Total || st.Failed != 0 || st.Cancelled != 0 {
+		return nil, fmt.Errorf("batch %s finished done=%d failed=%d cancelled=%d of %d",
+			batch, st.Done, st.Failed, st.Cancelled, st.Total)
 	}
-	if rr.StatusCode != http.StatusOK {
-		t.Fatalf("report status %d: %s", rr.StatusCode, data)
-	}
-	return sub.Batch, data
+	return c.Report(ctx, batch)
 }
 
 // TestE2EDaemonMatchesInProcess: a daemon-served batch produces a report
@@ -119,7 +81,10 @@ func TestE2EDaemonMatchesInProcess(t *testing.T) {
 		{Workload: "queens", Toolchain: "base", Machine: "base32"},
 		{Workload: "queens", Toolchain: "fac", Machine: "fac32+rr"},
 	}
-	_, daemonReport := submitAndWait(t, base, jobs)
+	daemonReport, err := runBatch(base, jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	// The same runs, in process, straight through the core facade.
 	rep := obs.NewReport("facd", runtime.Version())
@@ -172,13 +137,19 @@ func TestE2ECacheServesResubmission(t *testing.T) {
 	_, _, base := newDaemon(t, cache, simsvc.ServerConfig{Workers: 2})
 
 	jobs := []simsvc.JobSpec{{Workload: "queens", Toolchain: "base", Machine: "base32"}}
-	_, first := submitAndWait(t, base, jobs)
+	first, err := runBatch(base, jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
 	st := cache.Stats()
 	if st.Entries != 1 || st.Hits != 0 {
 		t.Fatalf("after first batch: %+v", st)
 	}
 
-	_, second := submitAndWait(t, base, jobs)
+	second, err := runBatch(base, jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !bytes.Equal(first, second) {
 		t.Fatalf("cached report differs:\n%s\nvs\n%s", first, second)
 	}
@@ -216,7 +187,10 @@ func TestE2ECacheServesResubmission(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, _, base2 := newDaemon(t, cache2, simsvc.ServerConfig{Workers: 2})
-	_, third := submitAndWait(t, base2, jobs)
+	third, err := runBatch(base2, jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !bytes.Equal(first, third) {
 		t.Fatal("restarted daemon served different bytes")
 	}
@@ -339,7 +313,10 @@ func TestE2EConcurrentIdenticalSubmits(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, reports[i] = submitAndWait(t, base, jobs)
+			var err error
+			if reports[i], err = runBatch(base, jobs); err != nil {
+				t.Error(err)
+			}
 		}(i)
 	}
 	wg.Wait()
