@@ -18,12 +18,16 @@
 //	experiments -cache d             # a second time simulates nothing
 //	experiments -remote http://host:8080     # run the grid on a daemon or
 //	                                 #   fleet coordinator instead of locally
+//	experiments -cpuprofile cpu.out -memprofile mem.out  # profile the run
+//	                                 #   (go tool pprof -top cpu.out)
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
+	"runtime/pprof"
 	"time"
 
 	"repro/internal/experiments"
@@ -52,6 +56,8 @@ func main() {
 		cacheMax = flag.Int64("cache-max-bytes", 0, "evict least-recently-used cache entries beyond this size (0 = unbounded)")
 		remote   = flag.String("remote", "", "run named-machine simulations on this facd daemon or fleet coordinator URL instead of locally")
 		token    = flag.String("token", "", "bearer token for -remote")
+		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
+		memProf  = flag.String("memprofile", "", "write a heap profile to this file when the run ends")
 	)
 	flag.Parse()
 
@@ -62,109 +68,134 @@ func main() {
 		}
 		return
 	}
+	stopProfiles, err := startProfiles(*cpuProf, *memProf)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "profile failed:", err)
+		os.Exit(1)
+	}
+	// fail reports a failed stage and exits with the profiles written.
+	fail := func(stage string, err error) {
+		fmt.Fprintf(os.Stderr, "%s failed: %v\n", stage, err)
+		stopProfiles()
+		os.Exit(1)
+	}
 	all := !(*fig2 || *table1 || *fig3 || *table3 || *table4 || *fig6 || *table6 || *ablate || *ltbCmp || *agiCmp || *predGrid || *sweep)
 
 	s := experiments.NewSuite()
 	if *cacheDir != "" {
 		dc, err := simsvc.OpenDiskCache(*cacheDir, *cacheMax)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "cache open failed:", err)
-			os.Exit(1)
+			fail("cache open", err)
 		}
 		s.SetCache(dc)
 	}
 	if *remote != "" {
 		s.SetRemote(&simsvc.Client{Base: *remote, Token: *token})
 	}
+	// runs lists the timing runs a step reads (nil for the functional-only
+	// steps), so that every selected step's runs execute in one Prefetch.
 	steps := []struct {
 		on   bool
 		name string
+		runs func() []experiments.Run
 		run  func() (string, error)
 	}{
-		{*table1 || all, "Table 1", func() (string, error) {
+		{*table1 || all, "Table 1", nil, func() (string, error) {
 			r, err := s.Table1()
 			if err != nil {
 				return "", err
 			}
 			return r.Table().String(), nil
 		}},
-		{*fig2 || all, "Figure 2", func() (string, error) {
+		{*fig2 || all, "Figure 2", experiments.Figure2Runs, func() (string, error) {
 			r, err := s.Figure2()
 			if err != nil {
 				return "", err
 			}
 			return r.Table().String(), nil
 		}},
-		{*fig3 || all, "Figure 3", func() (string, error) {
+		{*fig3 || all, "Figure 3", nil, func() (string, error) {
 			r, err := s.Figure3()
 			if err != nil {
 				return "", err
 			}
 			return r.Table().String(), nil
 		}},
-		{*table3 || all, "Table 3", func() (string, error) {
+		{*table3 || all, "Table 3", experiments.Table3Runs, func() (string, error) {
 			r, err := s.Table3()
 			if err != nil {
 				return "", err
 			}
 			return r.Table().String(), nil
 		}},
-		{*table4 || all, "Table 4", func() (string, error) {
+		{*table4 || all, "Table 4", experiments.Table4Runs, func() (string, error) {
 			r, err := s.Table4()
 			if err != nil {
 				return "", err
 			}
 			return r.Table().String(), nil
 		}},
-		{*fig6 || all, "Figure 6", func() (string, error) {
+		{*fig6 || all, "Figure 6", experiments.Figure6Runs, func() (string, error) {
 			r, err := s.Figure6()
 			if err != nil {
 				return "", err
 			}
 			return r.Table().String(), nil
 		}},
-		{*table6 || all, "Table 6", func() (string, error) {
+		{*table6 || all, "Table 6", experiments.Table6Runs, func() (string, error) {
 			r, err := s.Table6()
 			if err != nil {
 				return "", err
 			}
 			return r.Table().String(), nil
 		}},
-		{*ablate || all, "Ablations", func() (string, error) {
+		{*ablate || all, "Ablations", experiments.AblationRuns, func() (string, error) {
 			r, err := s.Ablations()
 			if err != nil {
 				return "", err
 			}
 			return r.Table().String(), nil
 		}},
-		{*ltbCmp || all, "LTB comparison", func() (string, error) {
+		{*ltbCmp || all, "LTB comparison", nil, func() (string, error) {
 			r, err := s.CompareLTB()
 			if err != nil {
 				return "", err
 			}
 			return r.Table().String(), nil
 		}},
-		{*agiCmp || all, "AGI comparison", func() (string, error) {
+		{*agiCmp || all, "AGI comparison", experiments.AGIRuns, func() (string, error) {
 			r, err := s.CompareAGI()
 			if err != nil {
 				return "", err
 			}
 			return r.Table().String(), nil
 		}},
-		{*predGrid || all, "Predictor grid", func() (string, error) {
+		{*predGrid || all, "Predictor grid", experiments.PredictorRuns, func() (string, error) {
 			r, err := s.ComparePredictors()
 			if err != nil {
 				return "", err
 			}
 			return r.Table().String(), nil
 		}},
-		{*sweep || all, "Cache sweep", func() (string, error) {
+		{*sweep || all, "Cache sweep", experiments.SweepRuns, func() (string, error) {
 			r, err := s.CacheSweep()
 			if err != nil {
 				return "", err
 			}
 			return r.Table().String(), nil
 		}},
+	}
+	// Execute every selected step's timing runs up front, so that each
+	// binary is emulated once for all of its machines; the steps' own
+	// Prefetch calls then find them memoized.
+	var plan []experiments.Run
+	for _, st := range steps {
+		if st.on && st.runs != nil {
+			plan = append(plan, st.runs()...)
+		}
+	}
+	if err := s.Prefetch(plan); err != nil {
+		fail("timing runs", err)
 	}
 	for _, st := range steps {
 		if !st.on {
@@ -173,8 +204,7 @@ func main() {
 		t0 := time.Now()
 		out, err := st.run()
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s failed: %v\n", st.name, err)
-			os.Exit(1)
+			fail(st.name, err)
 		}
 		fmt.Println(out)
 		fmt.Printf("[%s regenerated in %.1fs]\n\n", st.name, time.Since(t0).Seconds())
@@ -184,12 +214,10 @@ func main() {
 		rep := s.Report("cmd/experiments")
 		data, err := rep.Encode()
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "json export failed:", err)
-			os.Exit(1)
+			fail("json export", err)
 		}
 		if err := os.WriteFile(*jsonOut, data, 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "json export failed:", err)
-			os.Exit(1)
+			fail("json export", err)
 		}
 		fmt.Printf("[%d run records written to %s]\n", len(rep.Records), *jsonOut)
 	}
@@ -204,6 +232,50 @@ func main() {
 		fmt.Printf("[runs: simulated=%d remote=%d cache-hits=%d]\n",
 			c.Simulated, c.Remote, c.CacheHits)
 	}
+	stopProfiles()
+}
+
+// startProfiles starts a CPU profile into cpuPath, when set, and returns
+// the function that stops it and, when memPath is set, writes a heap
+// profile there.
+func startProfiles(cpuPath, memPath string) (stop func(), err error) {
+	var cpu *os.File
+	if cpuPath != "" {
+		if cpu, err = os.Create(cpuPath); err != nil {
+			return nil, err
+		}
+		if err := pprof.StartCPUProfile(cpu); err != nil {
+			cpu.Close()
+			return nil, err
+		}
+	}
+	return func() {
+		if cpu != nil {
+			pprof.StopCPUProfile()
+			if err := cpu.Close(); err != nil {
+				fmt.Fprintln(os.Stderr, "cpuprofile:", err)
+			}
+		}
+		if memPath != "" {
+			if err := writeHeapProfile(memPath); err != nil {
+				fmt.Fprintln(os.Stderr, "memprofile:", err)
+			}
+		}
+	}, nil
+}
+
+// writeHeapProfile writes the live heap, as of a fresh collection, to path.
+func writeHeapProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	runtime.GC()
+	if err := pprof.WriteHeapProfile(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // runDiff loads two exported reports and prints the records whose

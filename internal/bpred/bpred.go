@@ -7,10 +7,11 @@ package bpred
 
 import "fmt"
 
+// entry is 12 bytes: the two words first, so the bytes pack behind them.
 type entry struct {
-	valid   bool
 	tag     uint32
 	target  uint32
+	valid   bool
 	counter uint8 // 2-bit saturating; >= 2 predicts taken
 }
 

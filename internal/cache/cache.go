@@ -57,17 +57,19 @@ func (s Stats) MissRatio() float64 {
 }
 
 type line struct {
+	tag   uint32
 	valid bool
 	dirty bool
-	tag   uint32
 	ready uint64 // cycle the fill completes (<= now means resident)
-	lru   uint64 // last-touch cycle for replacement
 }
 
 // Cache is a timing model of one cache array.
 type Cache struct {
-	cfg       Config
-	sets      [][]line
+	cfg   Config
+	lines []line // set i is lines[i*Assoc : (i+1)*Assoc]
+	// lru is each line's last-touch cycle, for replacement. It is nil in
+	// a direct-mapped cache, whose one candidate needs no choosing.
+	lru       []uint64
 	idxMask   uint32
 	blockBits uint
 	idxBits   uint
@@ -85,9 +87,9 @@ func New(cfg Config) *Cache {
 		panic(err)
 	}
 	nsets := cfg.Size / (cfg.BlockSize * cfg.Assoc)
-	c := &Cache{cfg: cfg, sets: make([][]line, nsets)}
-	for i := range c.sets {
-		c.sets[i] = make([]line, cfg.Assoc)
+	c := &Cache{cfg: cfg, lines: make([]line, nsets*cfg.Assoc)}
+	if cfg.Assoc > 1 {
+		c.lru = make([]uint64, len(c.lines))
 	}
 	c.blockBits = log2(uint(cfg.BlockSize))
 	c.idxBits = log2(uint(nsets))
@@ -124,9 +126,9 @@ type Result struct {
 	MSHRFull   bool
 }
 
-func (c *Cache) lookup(addr uint32) (set []line, tag uint32) {
-	idx := addr >> c.blockBits & c.idxMask
-	return c.sets[idx], addr >> (c.blockBits + c.idxBits)
+// lookup returns the index of addr's set's first line, and addr's tag.
+func (c *Cache) lookup(addr uint32) (first int, tag uint32) {
+	return int(addr>>c.blockBits&c.idxMask) * c.cfg.Assoc, addr >> (c.blockBits + c.idxBits)
 }
 
 // pruneMSHRs drops completed misses from the outstanding list.
@@ -144,13 +146,16 @@ func (c *Cache) pruneMSHRs(now uint64) {
 // timing outcome. Writes mark the block dirty (write-allocate on miss).
 func (c *Cache) Access(addr uint32, write bool, now uint64) Result {
 	c.stats.Accesses++
-	set, tag := c.lookup(addr)
+	first, tag := c.lookup(addr)
+	end := first + c.cfg.Assoc
 
 	// Hit (possibly on an in-flight fill)?
-	for i := range set {
-		l := &set[i]
+	for i := first; i < end; i++ {
+		l := &c.lines[i]
 		if l.valid && l.tag == tag {
-			l.lru = now
+			if c.lru != nil {
+				c.lru[i] = now
+			}
 			if write {
 				l.dirty = true
 			}
@@ -188,17 +193,20 @@ func (c *Cache) Access(addr uint32, write bool, now uint64) Result {
 	c.stats.Misses++
 
 	// Choose a victim: invalid first, else LRU.
-	victim := 0
-	for i := range set {
-		if !set[i].valid {
-			victim = i
-			break
+	victim := first
+	if c.lru != nil {
+		for i := first; i < end; i++ {
+			if !c.lines[i].valid {
+				victim = i
+				break
+			}
+			if c.lru[i] < c.lru[victim] {
+				victim = i
+			}
 		}
-		if set[i].lru < set[victim].lru {
-			victim = i
-		}
+		c.lru[victim] = now
 	}
-	v := &set[victim]
+	v := &c.lines[victim]
 	if v.valid {
 		c.stats.Evictions++
 		if v.dirty {
@@ -206,7 +214,7 @@ func (c *Cache) Access(addr uint32, write bool, now uint64) Result {
 		}
 	}
 	ready := now + uint64(c.cfg.MissLatency)
-	*v = line{valid: true, dirty: write, tag: tag, ready: ready, lru: now}
+	*v = line{valid: true, dirty: write, tag: tag, ready: ready}
 	if c.cfg.MSHRs > 0 {
 		c.outstanding = append(c.outstanding, ready)
 		c.stats.MSHROcc.Add(uint64(len(c.outstanding)))
@@ -229,9 +237,9 @@ func (c *Cache) emit(addr uint32, write bool, now, ready uint64, flags obs.Flags
 // Probe reports whether addr currently hits (resident and filled) without
 // changing any state. Used by tests and by store-buffer policies.
 func (c *Cache) Probe(addr uint32, now uint64) bool {
-	set, tag := c.lookup(addr)
-	for i := range set {
-		l := &set[i]
+	first, tag := c.lookup(addr)
+	for i := first; i < first+c.cfg.Assoc; i++ {
+		l := &c.lines[i]
 		if l.valid && l.tag == tag && l.ready <= now {
 			return true
 		}
@@ -241,11 +249,8 @@ func (c *Cache) Probe(addr uint32, now uint64) bool {
 
 // Flush invalidates all lines and clears statistics.
 func (c *Cache) Flush() {
-	for i := range c.sets {
-		for j := range c.sets[i] {
-			c.sets[i][j] = line{}
-		}
-	}
+	clear(c.lines)
+	clear(c.lru)
 	c.stats = Stats{}
 	c.outstanding = nil
 }

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/asm"
 	"repro/internal/emu"
+	"repro/internal/fac"
 	"repro/internal/obs"
 	"repro/internal/pipeline"
 	"repro/internal/predict"
@@ -106,6 +107,37 @@ func RunCtx(ctx context.Context, p *prog.Program, machine pipeline.Config, maxIn
 		ExitCode:     e.ExitCode,
 		MemFootprint: e.Mem.Footprint(),
 	}, nil
+}
+
+// RunMany executes the program once and times that one dynamic
+// instruction stream on every machine in cfgs (pipeline.RunMany). Each
+// Result equals what RunCtx returns for that machine alone. The
+// functional fields (Output, ExitCode, MemFootprint) come from the one
+// emulator, so they are the same in every Result. The selective
+// machine's static table is baked once per geometry for the whole group.
+// When any machine fails, the error is a pipeline.RunErrors
+// index-aligned with cfgs, and the other machines' Results stay valid.
+func RunMany(ctx context.Context, p *prog.Program, cfgs []pipeline.Config, maxInsts uint64) ([]Result, error) {
+	cfgs = append([]pipeline.Config(nil), cfgs...)
+	static := make(map[fac.Config]*predict.StaticTable)
+	for i := range cfgs {
+		if c := &cfgs[i]; c.Predictor == "selective" && c.StaticTable == nil {
+			g := c.FACGeometry()
+			if static[g] == nil {
+				static[g] = predict.BuildStaticTable(p, g)
+			}
+			c.StaticTable = static[g]
+		}
+	}
+	e := emu.New(p)
+	e.MaxInsts = maxInsts
+	stats, err := pipeline.RunMany(ctx, cfgs, &traceSource{e})
+	out, foot := e.Out.String(), e.Mem.Footprint()
+	res := make([]Result, len(cfgs))
+	for i, st := range stats {
+		res[i] = Result{Stats: st, Output: out, ExitCode: e.ExitCode, MemFootprint: foot}
+	}
+	return res, err
 }
 
 // RunFunctional executes the program on the emulator alone (no timing),

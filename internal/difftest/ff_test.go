@@ -2,6 +2,7 @@ package difftest
 
 import (
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -9,6 +10,7 @@ import (
 	"repro/internal/minic"
 	"repro/internal/obs"
 	"repro/internal/pipeline"
+	"repro/internal/predict"
 	"repro/internal/prog"
 )
 
@@ -111,6 +113,15 @@ func (s *sliceSource) Next() (emu.Trace, bool, error) {
 	return tr, true, nil
 }
 
+// sliceBatches replays a recorded trace slice through the batched path.
+type sliceBatches struct{ sliceSource }
+
+func (s *sliceBatches) NextBatch(buf []emu.Trace) (int, error) {
+	n := copy(buf, s.trs[s.i:])
+	s.i += n
+	return n, nil
+}
+
 // emuBatchSource mirrors core's emulator adapter, including the batched
 // path, without importing core (which would cycle).
 type emuBatchSource struct {
@@ -137,4 +148,68 @@ func (s emuBatchSource) NextBatch(buf []emu.Trace) (int, error) {
 		n++
 	}
 	return n, nil
+}
+
+// runFanout times one stream on every oracle machine at once through
+// pipeline.RunMany and fails the test unless each machine's RunRecord is
+// byte-identical to a solo RunCtx run of the same stream.
+func runFanout(t *testing.T, name string, ms []Machine, stream func() pipeline.BatchSource) {
+	t.Helper()
+	cfgs := make([]pipeline.Config, len(ms))
+	for i, m := range ms {
+		cfgs[i] = m.Cfg
+	}
+	many, err := pipeline.RunMany(nil, cfgs, stream())
+	if err != nil {
+		t.Fatalf("%s: RunMany: %v", name, err)
+	}
+	for i, m := range ms {
+		solo, err := pipeline.RunCtx(nil, m.Cfg, stream().(pipeline.Source), nil)
+		if err != nil {
+			t.Fatalf("%s/%s: %v", name, m.Name, err)
+		}
+		want, err := json.Marshal(solo.Record("fanout", "", "test", m.Name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := json.Marshal(many[i].Record("fanout", "", "test", m.Name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != string(want) {
+			t.Errorf("%s/%s: fanned-out RunRecord differs\n  solo: %s\n  many: %s", name, m.Name, want, got)
+		}
+	}
+}
+
+// TestFanoutExact is the gate for sharing one trace stream between
+// timing models: every oracle machine, selective included, timed in one
+// RunMany group must produce the RunRecord it produces alone, on the
+// generated traces and on a MiniC program run through the emulator.
+func TestFanoutExact(t *testing.T) {
+	ms := Machines()
+	seeds := []int64{1, 5, 11}
+	if testing.Short() {
+		seeds = seeds[:1]
+	}
+	for _, seed := range seeds {
+		// Long enough to wrap the ring several times.
+		trs := RandomTrace(rand.New(rand.NewSource(seed)), 20000)
+		runFanout(t, fmt.Sprintf("seed%d", seed), ms, func() pipeline.BatchSource {
+			return &sliceBatches{sliceSource{trs: trs}}
+		})
+	}
+
+	src := RandomMiniC(rand.New(rand.NewSource(42)))
+	p := buildMiniC(t, src, minic.BaseOptions(), prog.DefaultConfig())
+	for i := range ms {
+		if ms[i].Cfg.Predictor == "selective" {
+			ms[i].Cfg.StaticTable = predict.BuildStaticTable(p, ms[i].Cfg.FACGeometry())
+		}
+	}
+	runFanout(t, "minic", ms, func() pipeline.BatchSource {
+		e := emu.New(p)
+		e.MaxInsts = 500_000
+		return emuBatchSource{e}
+	})
 }

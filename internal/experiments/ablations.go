@@ -35,16 +35,20 @@ type AblationResult struct {
 	Rows []AblationRow
 }
 
+// AblationRuns lists the timing runs Ablations reads.
+func AblationRuns() []Run {
+	return grid([][2]string{
+		{"base", string(MFAC32)}, {"base", string(MFAC32Tag)},
+		{"fac", string(MFAC32)}, {"fac", string(MFAC32SB4)}, {"fac", string(MFAC32SB64)},
+		{"fac", string(MFAC32MSHR1)},
+	})
+}
+
 // Ablations measures the design-choice sensitivities DESIGN.md calls out:
 // the optional tag adder (paper Section 3.1), store-buffer depth, the
 // number of outstanding misses, and the predictor's block-offset width.
 func (s *Suite) Ablations() (*AblationResult, error) {
-	pairs := [][2]string{
-		{"base", string(MFAC32)}, {"base", string(MFAC32Tag)},
-		{"fac", string(MFAC32)}, {"fac", string(MFAC32SB4)}, {"fac", string(MFAC32SB64)},
-		{"fac", string(MFAC32MSHR1)},
-	}
-	if err := s.Prefetch(pairs); err != nil {
+	if err := s.Prefetch(AblationRuns()); err != nil {
 		return nil, err
 	}
 

@@ -25,14 +25,18 @@ type AGIResult struct {
 	FPAvg  [3]float64
 }
 
+// AGIRuns lists the timing runs CompareAGI reads.
+func AGIRuns() []Run {
+	return grid([][2]string{
+		{"base", string(MBase32)}, {"base", string(MAGI)},
+		{"base", string(MFAC32)}, {"fac", string(MFAC32)},
+	})
+}
+
 // CompareAGI measures the two pipeline organizations against fast address
 // calculation.
 func (s *Suite) CompareAGI() (*AGIResult, error) {
-	pairs := [][2]string{
-		{"base", string(MBase32)}, {"base", string(MAGI)},
-		{"base", string(MFAC32)}, {"fac", string(MFAC32)},
-	}
-	if err := s.Prefetch(pairs); err != nil {
+	if err := s.Prefetch(AGIRuns()); err != nil {
 		return nil, err
 	}
 	res := &AGIResult{}

@@ -25,13 +25,17 @@ type Figure2Result struct {
 	FPAvg  [4]float64
 }
 
-// Figure2 measures the performance potential of faster loads (paper Fig 2).
-func (s *Suite) Figure2() (*Figure2Result, error) {
-	machines := [][2]string{
+// Figure2Runs lists the timing runs Figure2 reads.
+func Figure2Runs() []Run {
+	return grid([][2]string{
 		{"base", string(MBase32)}, {"base", string(MOneCycle)},
 		{"base", string(MPerfect)}, {"base", string(MOnePerfect)},
-	}
-	if err := s.Prefetch(machines); err != nil {
+	})
+}
+
+// Figure2 measures the performance potential of faster loads (paper Fig 2).
+func (s *Suite) Figure2() (*Figure2Result, error) {
+	if err := s.Prefetch(Figure2Runs()); err != nil {
 		return nil, err
 	}
 	res := &Figure2Result{}
@@ -208,10 +212,13 @@ func StandardGrid() [][2]string {
 	}
 }
 
+// Figure6Runs lists the timing runs Figure6 reads.
+func Figure6Runs() []Run { return grid(StandardGrid()) }
+
 // Figure6 measures program speedups with and without software support, for
 // 16- and 32-byte blocks, with and without register+register speculation.
 func (s *Suite) Figure6() (*Figure6Result, error) {
-	if err := s.Prefetch(StandardGrid()); err != nil {
+	if err := s.Prefetch(Figure6Runs()); err != nil {
 		return nil, err
 	}
 	res := &Figure6Result{}

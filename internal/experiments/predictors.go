@@ -44,17 +44,23 @@ type PredictorsResult struct {
 	FPAvg  []PredictorCell
 }
 
+// PredictorRuns lists the timing runs ComparePredictors reads: the
+// baseline and every machine of the grid, on the fac toolchain.
+func PredictorRuns() []Run {
+	pairs := [][2]string{{"fac", string(MBase32)}}
+	for _, m := range PredictorMachines() {
+		pairs = append(pairs, [2]string{"fac", string(m)})
+	}
+	return grid(pairs)
+}
+
 // ComparePredictors runs the whole benchmark suite under every machine of
 // the predictor grid and the baseline, all on the software-supported (fac
 // toolchain) binary so the machines compete on identical reference
 // streams. This is the Table-5-style cross-predictor comparison.
 func (s *Suite) ComparePredictors() (*PredictorsResult, error) {
 	machines := PredictorMachines()
-	pairs := [][2]string{{"fac", string(MBase32)}}
-	for _, m := range machines {
-		pairs = append(pairs, [2]string{"fac", string(m)})
-	}
-	if err := s.Prefetch(pairs); err != nil {
+	if err := s.Prefetch(PredictorRuns()); err != nil {
 		return nil, err
 	}
 

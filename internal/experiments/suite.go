@@ -124,20 +124,66 @@ type FuncResult struct {
 type Suite struct {
 	MaxInsts uint64
 
-	// flight collapses concurrent identical work (builds, profiles, timing
-	// runs) onto one leader. The memo maps alone cannot do this: they are
-	// consulted under mu but filled only after the work completes, so two
-	// workers racing on the same key both used to run it.
+	// flight collapses concurrent identical builds and profiles onto one
+	// leader. The memo maps alone cannot do this: they are consulted under
+	// mu but filled only after the work completes, so two workers racing
+	// on the same key both used to run it. Timing runs are collapsed the
+	// same way through claims, because Prefetch claims many keys at once.
 	flight simsvc.Flight
+
+	// runMany simulates one binary on a group of machines. It is
+	// core.RunMany; tests wrap it to count emulation passes.
+	runMany func(ctx context.Context, p *prog.Program, cfgs []pipeline.Config, maxInsts uint64) ([]core.Result, error)
 
 	mu       sync.Mutex
 	programs map[string]*prog.Program
 	funcs    map[string]*FuncResult
 	timings  map[string]pipeline.Stats
 	records  map[string]obs.RunRecord
+	claims   map[string]*claim // timing runs a Prefetch call is executing
 	disk     *simsvc.DiskCache
 	remote   *simsvc.Client
 	counts   RunCounts
+}
+
+// claim is a timing run that one Prefetch call is executing. Other
+// callers that need the same run wait for done instead of repeating it;
+// err is the executing call's error when the run did not complete.
+type claim struct {
+	done chan struct{}
+	err  error
+}
+
+// Run is one timing run: a workload binary, built by one toolchain, on
+// one machine.
+type Run struct {
+	Workload  workload.Workload
+	Toolchain string
+	Machine   Machine
+	// adhoc is the configuration of a machine outside the machine table
+	// (the cache sweep's). Such runs stay out of the exported report and
+	// always simulate locally, since a remote daemon resolves only names.
+	adhoc *pipeline.Config
+}
+
+func (r Run) key() string { return r.Workload.Name + "|" + r.Toolchain + "|" + string(r.Machine) }
+
+func (r Run) config() (pipeline.Config, error) {
+	if r.adhoc != nil {
+		return *r.adhoc, nil
+	}
+	return MachineConfig(r.Machine)
+}
+
+// grid expands (toolchain, machine) pairs over every workload.
+func grid(pairs [][2]string) []Run {
+	var runs []Run
+	for _, w := range workload.All() {
+		for _, pr := range pairs {
+			runs = append(runs, Run{Workload: w, Toolchain: pr[0], Machine: Machine(pr[1])})
+		}
+	}
+	return runs
 }
 
 // RunCounts is the suite's execution accounting for one process: where
@@ -161,6 +207,8 @@ func NewSuite() *Suite {
 		funcs:    make(map[string]*FuncResult),
 		timings:  make(map[string]pipeline.Stats),
 		records:  make(map[string]obs.RunRecord),
+		claims:   make(map[string]*claim),
+		runMany:  core.RunMany,
 	}
 }
 
@@ -286,120 +334,226 @@ func (s *Suite) Functional(w workload.Workload, tc string) (*FuncResult, error) 
 
 // Timing runs a workload on a machine (with caching and output validation).
 func (s *Suite) Timing(w workload.Workload, tc string, m Machine) (pipeline.Stats, error) {
-	cfg, err := MachineConfig(m)
-	if err != nil {
-		return pipeline.Stats{}, err
-	}
-	return s.timing(nil, w, tc, m, cfg, true)
+	return s.timing(Run{Workload: w, Toolchain: tc, Machine: m})
 }
 
-// timing is the single path behind Timing and timingWithConfig: memoized,
-// deduplicated across concurrent callers, persisted through the optional
-// disk cache, and cancellable (ctx reaches the pipeline's cycle loop; a
-// nil ctx disables the checks). record controls whether the run joins the
-// suite's exportable report — named machines do, ad-hoc sweep
-// configurations do not, matching the pre-existing report contents.
-func (s *Suite) timing(ctx context.Context, w workload.Workload, tc string, m Machine, cfg pipeline.Config, record bool) (pipeline.Stats, error) {
-	key := w.Name + "|" + tc + "|" + string(m)
-	s.mu.Lock()
-	if st, ok := s.timings[key]; ok {
-		s.mu.Unlock()
-		return st, nil
+// timing returns one run's statistics, executing it through Prefetch
+// unless it is memoized already.
+func (s *Suite) timing(r Run) (pipeline.Stats, error) {
+	if err := s.Prefetch([]Run{r}); err != nil {
+		return pipeline.Stats{}, err
 	}
-	disk := s.disk
-	remote := s.remote
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.timings[r.key()], nil
+}
+
+// Prefetch executes timing runs in parallel and memoizes them. Each run
+// comes from the first place that has it: the memo, the persistent disk
+// cache, then, for machines in the machine table, the remote daemon.
+// The runs left over simulate locally, grouped by binary: each
+// (workload, toolchain) pair is emulated once, and its trace stream is
+// timed on all of the group's machines at once (core.RunMany). A run
+// that another Prefetch call is already executing is waited for, not
+// repeated.
+func (s *Suite) Prefetch(runs []Run) error {
+	mine, waits := s.claim(runs)
+	err := s.execute(mine)
+	s.mu.Lock()
+	for _, r := range mine {
+		k := r.key()
+		c := s.claims[k]
+		delete(s.claims, k)
+		if _, ok := s.timings[k]; !ok {
+			c.err = err
+		}
+		close(c.done)
+	}
+	s.mu.Unlock()
+	for _, c := range waits {
+		<-c.done
+		if err == nil {
+			err = c.err
+		}
+	}
+	return err
+}
+
+// claim splits runs into those this call must execute, claiming each,
+// and those another call is executing already. Duplicates and memoized
+// runs drop out.
+func (s *Suite) claim(runs []Run) (mine []Run, waits []*claim) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	seen := make(map[string]bool, len(runs))
+	for _, r := range runs {
+		k := r.key()
+		if seen[k] {
+			continue
+		}
+		seen[k] = true
+		if _, ok := s.timings[k]; ok {
+			continue
+		}
+		if c, ok := s.claims[k]; ok {
+			waits = append(waits, c)
+			continue
+		}
+		s.claims[k] = &claim{done: make(chan struct{})}
+		mine = append(mine, r)
+	}
+	return mine, waits
+}
+
+// execute runs claimed timing runs: first each one's disk-cache lookup
+// and remote execution, then one local simulation pass per binary for
+// the rest.
+func (s *Suite) execute(runs []Run) error {
+	if len(runs) == 0 {
+		return nil
+	}
+	cfgs := make([]pipeline.Config, len(runs))
+	for i, r := range runs {
+		cfg, err := r.config()
+		if err != nil {
+			return err
+		}
+		cfgs[i] = cfg
+	}
+	s.mu.Lock()
+	disk, remote := s.disk, s.remote
 	s.mu.Unlock()
 
-	v, shared, err := s.flight.Do("timing|"+key, func() (any, error) {
-		s.mu.Lock()
-		if st, ok := s.timings[key]; ok {
-			s.mu.Unlock()
-			return st, nil
-		}
-		s.mu.Unlock()
-
-		var diskKey string
-		if disk != nil {
-			if k, err := simsvc.CacheKey(w, tc, string(m), cfg, s.MaxInsts); err == nil {
-				diskKey = k
+	served := make([]bool, len(runs))
+	if disk != nil || remote != nil {
+		jobs := make([]job, len(runs))
+		for i, r := range runs {
+			jobs[i] = func(ctx context.Context) error {
+				var err error
+				served[i], err = s.fetch(ctx, r, cfgs[i], disk, remote)
+				return err
 			}
 		}
-		finish := func(st pipeline.Stats, rec obs.RunRecord, bump func(*RunCounts)) {
-			s.memoize(key, st, rec, record)
-			s.mu.Lock()
-			bump(&s.counts)
-			s.mu.Unlock()
+		if err := runParallel(jobs); err != nil {
+			return err
 		}
-
-		// Persistent cache: a prior process (this tool or the facd daemon)
-		// may have already simulated this exact configuration.
-		if disk != nil && diskKey != "" {
-			if rec, ok := disk.Get(diskKey); ok {
-				st := pipeline.StatsFromRecord(rec)
-				finish(st, rec, func(c *RunCounts) { c.CacheHits++ })
-				return st, nil
-			}
-		}
-
-		// Remote execution: named machines resolve on the daemon; ad-hoc
-		// sweep configurations (record=false) only exist locally.
-		if remote != nil && record {
-			rctx := ctx
-			if rctx == nil {
-				rctx = context.Background()
-			}
-			rec, _, err := remote.RunSync(rctx, simsvc.JobSpec{
-				Workload: w.Name, Toolchain: tc, Machine: string(m), MaxInsts: s.MaxInsts,
-			})
-			if err != nil {
-				return nil, fmt.Errorf("%s/%s/%s: remote: %w", w.Name, tc, m, err)
-			}
-			st := pipeline.StatsFromRecord(rec)
-			if disk != nil && diskKey != "" {
-				disk.Put(diskKey, rec) // share the fetch with future local passes
-			}
-			finish(st, rec, func(c *RunCounts) { c.Remote++ })
-			return st, nil
-		}
-
-		p, err := s.Program(w, tc)
-		if err != nil {
-			return nil, err
-		}
-		res, err := core.RunCtx(ctx, p, cfg, s.MaxInsts, nil)
-		if err != nil {
-			return nil, fmt.Errorf("%s/%s/%s: %w", w.Name, tc, m, err)
-		}
-		if res.Output != w.Expected {
-			return nil, fmt.Errorf("%s/%s/%s: output %q != expected %q", w.Name, tc, m, res.Output, w.Expected)
-		}
-		rec := res.Stats.Record(w.Name, w.Class.String(), tc, string(m))
-		if disk != nil && diskKey != "" {
-			disk.Put(diskKey, rec) // best effort; a write failure only costs a future re-run
-		}
-		finish(res.Stats, rec, func(c *RunCounts) { c.Simulated++ })
-		return res.Stats, nil
-	})
-	if err != nil {
-		// A follower that inherited the leader's cancellation while its own
-		// context is still live can safely retry; here we just surface it.
-		if shared && ctx != nil && ctx.Err() == nil && errors.Is(err, context.Canceled) {
-			return pipeline.Stats{}, fmt.Errorf("%s/%s/%s: deduplicated onto a canceled identical run: %w", w.Name, tc, m, err)
-		}
-		return pipeline.Stats{}, err
 	}
-	return v.(pipeline.Stats), nil
+
+	type group struct {
+		runs []Run
+		cfgs []pipeline.Config
+	}
+	var groups []*group
+	byBinary := make(map[string]*group)
+	for i, r := range runs {
+		if served[i] {
+			continue
+		}
+		bin := r.Workload.Name + "|" + r.Toolchain
+		g := byBinary[bin]
+		if g == nil {
+			g = &group{}
+			byBinary[bin] = g
+			groups = append(groups, g)
+		}
+		g.runs = append(g.runs, r)
+		g.cfgs = append(g.cfgs, cfgs[i])
+	}
+	jobs := make([]job, len(groups))
+	for i, g := range groups {
+		jobs[i] = func(ctx context.Context) error {
+			return s.simulate(ctx, g.runs, g.cfgs, disk)
+		}
+	}
+	return runParallel(jobs)
 }
 
-// memoize records a finished timing run. The disk-sourced RunRecord is
-// stored verbatim so a cache hit and a fresh simulation export the same
-// bytes.
-func (s *Suite) memoize(key string, st pipeline.Stats, rec obs.RunRecord, record bool) {
-	s.mu.Lock()
-	s.timings[key] = st
-	if record {
-		s.records[key] = rec
+// diskKey is r's content-addressed key in the persistent cache, or ""
+// when there is no cache or the key cannot be computed.
+func (s *Suite) diskKey(disk *simsvc.DiskCache, r Run, cfg pipeline.Config) string {
+	if disk == nil {
+		return ""
 	}
+	k, err := simsvc.CacheKey(r.Workload, r.Toolchain, string(r.Machine), cfg, s.MaxInsts)
+	if err != nil {
+		return ""
+	}
+	return k
+}
+
+// fetch serves one run from the persistent cache or, for a named
+// machine, the remote daemon. It reports false when the run must
+// simulate locally.
+func (s *Suite) fetch(ctx context.Context, r Run, cfg pipeline.Config, disk *simsvc.DiskCache, remote *simsvc.Client) (bool, error) {
+	// Persistent cache: a prior process (this tool or the facd daemon)
+	// may have already simulated this exact configuration.
+	diskKey := s.diskKey(disk, r, cfg)
+	if diskKey != "" {
+		if rec, ok := disk.Get(diskKey); ok {
+			s.finish(r, pipeline.StatsFromRecord(rec), rec, func(c *RunCounts) { c.CacheHits++ })
+			return true, nil
+		}
+	}
+	if remote == nil || r.adhoc != nil {
+		return false, nil
+	}
+	rec, _, err := remote.RunSync(ctx, simsvc.JobSpec{
+		Workload: r.Workload.Name, Toolchain: r.Toolchain, Machine: string(r.Machine), MaxInsts: s.MaxInsts,
+	})
+	if err != nil {
+		return false, fmt.Errorf("%s/%s/%s: remote: %w", r.Workload.Name, r.Toolchain, r.Machine, err)
+	}
+	if diskKey != "" {
+		disk.Put(diskKey, rec) // share the fetch with future local passes
+	}
+	s.finish(r, pipeline.StatsFromRecord(rec), rec, func(c *RunCounts) { c.Remote++ })
+	return true, nil
+}
+
+// simulate times one binary on a group of machines in one emulation
+// pass, checks the program's output, and memoizes every run.
+func (s *Suite) simulate(ctx context.Context, runs []Run, cfgs []pipeline.Config, disk *simsvc.DiskCache) error {
+	w, tc := runs[0].Workload, runs[0].Toolchain
+	p, err := s.Program(w, tc)
+	if err != nil {
+		return err
+	}
+	res, err := s.runMany(ctx, p, cfgs, s.MaxInsts)
+	if err != nil {
+		var errs pipeline.RunErrors
+		if errors.As(err, &errs) {
+			for i, e := range errs {
+				if e != nil {
+					return fmt.Errorf("%s/%s/%s: %w", w.Name, tc, runs[i].Machine, e)
+				}
+			}
+		}
+		return fmt.Errorf("%s/%s: %w", w.Name, tc, err)
+	}
+	if out := res[0].Output; out != w.Expected {
+		return fmt.Errorf("%s/%s: output %q != expected %q", w.Name, tc, out, w.Expected)
+	}
+	for i, r := range runs {
+		rec := res[i].Stats.Record(w.Name, w.Class.String(), tc, string(r.Machine))
+		if k := s.diskKey(disk, r, cfgs[i]); k != "" {
+			disk.Put(k, rec) // best effort; a write failure only costs a future re-run
+		}
+		s.finish(r, res[i].Stats, rec, func(c *RunCounts) { c.Simulated++ })
+	}
+	return nil
+}
+
+// finish memoizes a completed run and counts where it came from. A
+// disk-sourced RunRecord is stored verbatim, so a cache hit and a fresh
+// simulation export the same bytes.
+func (s *Suite) finish(r Run, st pipeline.Stats, rec obs.RunRecord, bump func(*RunCounts)) {
+	k := r.key()
+	s.mu.Lock()
+	s.timings[k] = st
+	if r.adhoc == nil {
+		s.records[k] = rec
+	}
+	bump(&s.counts)
 	s.mu.Unlock()
 }
 
@@ -484,26 +638,6 @@ func runParallel(jobs []job) error {
 		}
 	}
 	return first
-}
-
-// Prefetch warms the timing cache for a set of (toolchain, machine) pairs
-// across all workloads, in parallel.
-func (s *Suite) Prefetch(pairs [][2]string) error {
-	var jobs []job
-	for _, w := range workload.All() {
-		for _, pr := range pairs {
-			w, tc, m := w, pr[0], Machine(pr[1])
-			jobs = append(jobs, func(ctx context.Context) error {
-				cfg, err := MachineConfig(m)
-				if err != nil {
-					return err
-				}
-				_, err = s.timing(ctx, w, tc, m, cfg, true)
-				return err
-			})
-		}
-	}
-	return runParallel(jobs)
 }
 
 // PrefetchFunctional warms the profile cache for both toolchains.

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/cache"
@@ -48,11 +47,29 @@ func sweepMachine(size int, facOn bool) Machine {
 	return Machine(fmt.Sprintf("sweep%dk", size>>10))
 }
 
-// timingWithConfig is Timing for ad-hoc configurations outside the named
-// machine table. These runs are memoized and disk-cached like named runs
-// but stay out of the exportable report.
-func (s *Suite) timingWithConfig(ctx context.Context, w workload.Workload, tc string, m Machine, cfg pipeline.Config) (pipeline.Stats, error) {
-	return s.timing(ctx, w, tc, m, cfg, false)
+// sweepRun is the run of one workload at one cache size, with or without
+// FAC. The baseline runs the base binary, FAC the software-supported one.
+func sweepRun(w workload.Workload, size int, facOn bool) Run {
+	tc := "base"
+	if facOn {
+		tc = "fac"
+	}
+	cfg := sweepConfig(size, facOn)
+	return Run{Workload: w, Toolchain: tc, Machine: sweepMachine(size, facOn), adhoc: &cfg}
+}
+
+// SweepRuns lists the timing runs CacheSweep reads. They are memoized and
+// disk-cached like named runs but stay out of the exportable report.
+func SweepRuns() []Run {
+	var runs []Run
+	for _, w := range workload.All() {
+		for _, size := range SweepSizes {
+			for _, facOn := range []bool{false, true} {
+				runs = append(runs, sweepRun(w, size, facOn))
+			}
+		}
+	}
+	return runs
 }
 
 // CacheSweep measures FAC's benefit as the data cache grows: the address
@@ -60,23 +77,7 @@ func (s *Suite) timingWithConfig(ctx context.Context, w workload.Workload, tc st
 // vanish, so FAC's relative gain should hold or grow with cache size while
 // the miss-bound programs converge toward the cache-friendly ones.
 func (s *Suite) CacheSweep() (*SweepResult, error) {
-	var jobs []job
-	for _, w := range workload.All() {
-		for _, size := range SweepSizes {
-			for _, facOn := range []bool{false, true} {
-				w, size, facOn := w, size, facOn
-				tc := "base"
-				if facOn {
-					tc = "fac"
-				}
-				jobs = append(jobs, func(ctx context.Context) error {
-					_, err := s.timingWithConfig(ctx, w, tc, sweepMachine(size, facOn), sweepConfig(size, facOn))
-					return err
-				})
-			}
-		}
-	}
-	if err := runParallel(jobs); err != nil {
+	if err := s.Prefetch(SweepRuns()); err != nil {
 		return nil, err
 	}
 
@@ -84,11 +85,11 @@ func (s *Suite) CacheSweep() (*SweepResult, error) {
 	for _, w := range workload.All() {
 		row := SweepRow{Name: w.Name, Class: w.Class}
 		for _, size := range SweepSizes {
-			base, err := s.timingWithConfig(nil, w, "base", sweepMachine(size, false), sweepConfig(size, false))
+			base, err := s.timing(sweepRun(w, size, false))
 			if err != nil {
 				return nil, err
 			}
-			facS, err := s.timingWithConfig(nil, w, "fac", sweepMachine(size, true), sweepConfig(size, true))
+			facS, err := s.timing(sweepRun(w, size, true))
 			if err != nil {
 				return nil, err
 			}

@@ -96,10 +96,13 @@ type Table3Result struct {
 	Rows []Table3Row
 }
 
+// Table3Runs lists the timing runs Table3 reads.
+func Table3Runs() []Run { return grid([][2]string{{"base", string(MBase32)}}) }
+
 // Table3 measures baseline program statistics and the prediction failure
 // rates of the bare hardware mechanism.
 func (s *Suite) Table3() (*Table3Result, error) {
-	if err := s.Prefetch([][2]string{{"base", string(MBase32)}}); err != nil {
+	if err := s.Prefetch(Table3Runs()); err != nil {
 		return nil, err
 	}
 	if err := s.PrefetchFunctional(); err != nil {
@@ -172,9 +175,14 @@ type Table4Result struct {
 	Rows []Table4Row
 }
 
+// Table4Runs lists the timing runs Table4 reads.
+func Table4Runs() []Run {
+	return grid([][2]string{{"base", string(MBase32)}, {"fac", string(MBase32)}})
+}
+
 // Table4 measures the impact of the compiler/linker software support.
 func (s *Suite) Table4() (*Table4Result, error) {
-	if err := s.Prefetch([][2]string{{"base", string(MBase32)}, {"fac", string(MBase32)}}); err != nil {
+	if err := s.Prefetch(Table4Runs()); err != nil {
 		return nil, err
 	}
 	if err := s.PrefetchFunctional(); err != nil {
@@ -261,13 +269,17 @@ type Table6Result struct {
 	Rows []Table6Row
 }
 
-// Table6 measures memory bandwidth overhead due to misspeculated accesses.
-func (s *Suite) Table6() (*Table6Result, error) {
-	pairs := [][2]string{
+// Table6Runs lists the timing runs Table6 reads.
+func Table6Runs() []Run {
+	return grid([][2]string{
 		{"base", string(MFAC32RR)}, {"fac", string(MFAC32RR)},
 		{"base", string(MFAC32)}, {"fac", string(MFAC32)},
-	}
-	if err := s.Prefetch(pairs); err != nil {
+	})
+}
+
+// Table6 measures memory bandwidth overhead due to misspeculated accesses.
+func (s *Suite) Table6() (*Table6Result, error) {
+	if err := s.Prefetch(Table6Runs()); err != nil {
 		return nil, err
 	}
 	res := &Table6Result{}

@@ -66,6 +66,49 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 	}
 }
 
+// loopBatches serves a loopSource through the batched path RunMany takes.
+type loopBatches struct{ *loopSource }
+
+func (s loopBatches) NextBatch(buf []emu.Trace) (int, error) {
+	n := 0
+	for n < len(buf) {
+		tr, ok, _ := s.Next()
+		if !ok {
+			break
+		}
+		buf[n] = tr
+		n++
+	}
+	return n, nil
+}
+
+// TestRunManySteadyStateAllocs extends the zero-allocation gate to the
+// fan-out: a group of machines sharing one stream allocates only at
+// setup (the ring, one goroutine and one simulator per machine), so a run
+// that wraps the ring many times allocates exactly as much as one that
+// never wraps it.
+func TestRunManySteadyStateAllocs(t *testing.T) {
+	fac := DefaultConfig()
+	fac.Predictor = "fac"
+	stride := DefaultConfig()
+	stride.Predictor = "stride"
+	cfgs := []Config{DefaultConfig(), fac, stride}
+
+	run := func(iters int) float64 {
+		return testing.AllocsPerRun(10, func() {
+			if _, err := RunMany(nil, cfgs, loopBatches{newLoopSource(iters)}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	short := run(200)
+	long := run(8000)
+	if long > short {
+		t.Errorf("fan-out allocates per batch: %.1f allocs for 200 iterations, %.1f for 8000 (want equal)",
+			short, long)
+	}
+}
+
 // BenchmarkDetachedSink / BenchmarkAttachedSink quantify the cost of the
 // observability layer on the same synthetic stream: the detached (nil
 // sink) run is the zero-cost baseline documented in

@@ -43,6 +43,7 @@ type sim struct {
 	opBased bool              // pred.OperandBased() (hoisted off the hot path)
 	src     Source
 	bsrc    BatchSource     // non-nil when src implements BatchSource
+	fan     *fanConsumer    // non-nil under RunMany: batches are read in place from its ring
 	ctx     context.Context // nil = cancellation disabled
 
 	icache *cache.Cache
@@ -179,18 +180,34 @@ const ctxCheckInterval = 1 << 12
 // few thousand cycles) and the run returns an error wrapping ctx.Err().
 // A nil ctx disables the checks entirely; timing is identical either way.
 func RunCtx(ctx context.Context, cfg Config, src Source, sink obs.Sink) (Stats, error) {
-	if err := cfg.Validate(); err != nil {
+	s, err := newSim(ctx, cfg, sink)
+	if err != nil {
 		return Stats{}, err
 	}
-	s := &sim{cfg: cfg, src: src, ctx: ctx, btb: bpred.New(cfg.BTBEntries), sink: sink}
-	s.pending = make([]qent, 2*cfg.FetchWidth+cfg.IssueWidth)
-	s.storeBuf = make([]storeEnt, cfg.StoreBufferEntries)
 	if bs, ok := src.(BatchSource); ok {
-		s.bsrc = bs
-		s.batch = make([]emu.Trace, batchSize)
+		s.pullBatches(bs)
 	} else {
+		s.src = src
 		s.batch = make([]emu.Trace, 1)
 	}
+	return s.simulate()
+}
+
+// pullBatches attaches a BatchSource, read batchSize traces at a time.
+func (s *sim) pullBatches(bs BatchSource) {
+	s.bsrc = bs
+	s.batch = make([]emu.Trace, batchSize)
+}
+
+// newSim validates cfg and builds a simulator with no trace source
+// attached: RunCtx attaches a Source, RunMany a ring consumer.
+func newSim(ctx context.Context, cfg Config, sink obs.Sink) (*sim, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	s := &sim{cfg: cfg, ctx: ctx, btb: bpred.New(cfg.BTBEntries), sink: sink}
+	s.pending = make([]qent, 2*cfg.FetchWidth+cfg.IssueWidth)
+	s.storeBuf = make([]storeEnt, cfg.StoreBufferEntries)
 	if name := cfg.Predictor; name != "" {
 		static := cfg.StaticTable
 		if name == "selective" && static == nil {
@@ -206,7 +223,7 @@ func RunCtx(ctx context.Context, cfg Config, src Source, sink obs.Sink) (Stats, 
 			Static:  static,
 		})
 		if err != nil {
-			return Stats{}, fmt.Errorf("pipeline: %w", err)
+			return nil, fmt.Errorf("pipeline: %w", err)
 		}
 		s.pred = p
 		s.opBased = p.OperandBased()
@@ -220,6 +237,11 @@ func RunCtx(ctx context.Context, cfg Config, src Source, sink obs.Sink) (Stats, 
 		s.dcache = cache.New(cfg.DCache)
 		s.dcache.SetSink(sink)
 	}
+	return s, nil
+}
+
+// simulate runs the cycle loop to completion and collects the statistics.
+func (s *sim) simulate() (Stats, error) {
 	if err := s.run(); err != nil {
 		return Stats{}, err
 	}
@@ -387,13 +409,26 @@ func (s *sim) note(cycle uint64) {
 
 // peekTrace exposes the next dynamic instruction without consuming it.
 // The returned pointer is valid until the next peekTrace call that
-// refills the batch buffer; nil means the stream has ended.
+// refills the batch buffer; nil means the stream has ended. Under
+// RunMany that refill is also what releases the previous ring slot.
 func (s *sim) peekTrace() (*emu.Trace, error) {
 	if s.batchPos < s.batchLen {
 		return &s.batch[s.batchPos], nil
 	}
 	if s.srcDone {
 		return nil, nil
+	}
+	if s.fan != nil {
+		b, err := s.fan.next()
+		if err != nil {
+			return nil, err
+		}
+		if len(b) == 0 {
+			s.srcDone = true
+			return nil, nil
+		}
+		s.batch, s.batchPos, s.batchLen = b, 0, len(b)
+		return &s.batch[0], nil
 	}
 	if s.bsrc != nil {
 		n, err := s.bsrc.NextBatch(s.batch)
