@@ -75,7 +75,7 @@ func main() {
 	cfg.SpeculateRegReg = true // attribute R+R failures too
 	cfg.DCache.BlockSize = *block
 	sites := obs.NewSiteCollector()
-	if _, err := core.RunWithSink(p, cfg, 2_000_000_000, sites); err != nil {
+	if _, err := core.RunCtx(nil, p, cfg, 2_000_000_000, sites); err != nil {
 		fatal(err)
 	}
 
@@ -100,7 +100,7 @@ func main() {
 			acfg.SpeculateRegReg = true
 			acfg.DCache.BlockSize = *block
 			sc := obs.NewSiteCollector()
-			if _, err := core.RunWithSink(p, acfg, 2_000_000_000, sc); err != nil {
+			if _, err := core.RunCtx(nil, p, acfg, 2_000_000_000, sc); err != nil {
 				fatal(err)
 			}
 			altSites[name] = sc

@@ -22,6 +22,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -77,7 +78,7 @@ func main() {
 	}
 
 	if *traceN > 0 {
-		if err := printTrace(p, cfg, *traceN); err != nil {
+		if err := printTrace(os.Stdout, p, cfg, *traceN); err != nil {
 			fatal(err)
 		}
 		return
@@ -183,6 +184,7 @@ func machineName(cfg pipeline.Config) string {
 // KindFACPredict event always immediately precedes the issue event of
 // the access it belongs to.
 type traceSink struct {
+	w        io.Writer
 	traces   []emu.Trace
 	idx      int
 	havePred bool
@@ -235,43 +237,37 @@ func (t *traceSink) Event(e obs.Event) {
 		} else if tr.Inst.Op.IsControl() && tr.NextPC != tr.PC+isa.InstBytes {
 			line += fmt.Sprintf("  -> %#08x", tr.NextPC)
 		}
-		fmt.Println(line)
+		fmt.Fprintln(t.w, line)
 		t.idx++
 		t.havePred = false
 	}
 }
 
 // limitedSource feeds at most n dynamic instructions to the pipeline,
-// recording each trace for the sink to render.
+// recording each batch for the sink to render.
 type limitedSource struct {
 	e    *emu.Emulator
 	n    int
 	sink *traceSink
 }
 
-func (s *limitedSource) Next() (emu.Trace, bool, error) {
-	if s.n <= 0 || s.e.Halted {
-		return emu.Trace{}, false, nil
-	}
-	tr, err := s.e.Step()
-	if err != nil {
-		return emu.Trace{}, false, err
-	}
-	s.n--
-	s.sink.traces = append(s.sink.traces, tr)
-	return tr, true, nil
+func (s *limitedSource) NextBatch(buf []emu.Trace) (int, error) {
+	n, err := s.e.NextBatch(buf[:min(len(buf), s.n)])
+	s.n -= n
+	s.sink.traces = append(s.sink.traces, buf[:n]...)
+	return n, err
 }
 
 // printTrace simulates the first n instructions on the configured
-// machine, printing each issue with its observability annotations.
-func printTrace(p *prog.Program, cfg pipeline.Config, n int) error {
+// machine, writing each issue with its observability annotations to w.
+func printTrace(w io.Writer, p *prog.Program, cfg pipeline.Config, n int) error {
 	name := cfg.Predictor
-	sink := &traceSink{predName: name, signals: predict.SignalNamesFor(name)}
+	sink := &traceSink{w: w, predName: name, signals: predict.SignalNamesFor(name)}
 	if name == "selective" && cfg.StaticTable == nil {
 		cfg.StaticTable = predict.BuildStaticTable(p, cfg.FACGeometry())
 	}
 	src := &limitedSource{e: emu.New(p), n: n, sink: sink}
-	_, err := pipeline.RunObserved(cfg, src, sink)
+	_, err := pipeline.RunCtx(nil, cfg, src, sink)
 	return err
 }
 

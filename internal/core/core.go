@@ -40,54 +40,19 @@ type Result struct {
 // IPC returns instructions per cycle.
 func (r Result) IPC() float64 { return r.Stats.IPC() }
 
-// traceSource adapts the emulator to the pipeline's Source interface. It
-// also implements pipeline.BatchSource so the cycle loop can pull traces
-// in bulk, amortizing the per-instruction interface call and letting the
-// emulator write each trace in place.
-type traceSource struct {
-	e *emu.Emulator
-}
-
-func (t *traceSource) Next() (emu.Trace, bool, error) {
-	if t.e.Halted {
-		return emu.Trace{}, false, nil
-	}
-	tr, err := t.e.Step()
-	if err != nil {
-		return emu.Trace{}, false, err
-	}
-	return tr, true, nil
-}
-
-func (t *traceSource) NextBatch(buf []emu.Trace) (int, error) {
-	n := 0
-	for n < len(buf) && !t.e.Halted {
-		if err := t.e.StepInto(&buf[n]); err != nil {
-			return 0, err
-		}
-		n++
-	}
-	return n, nil
-}
-
 // Run executes the program on the timing simulator. maxInsts bounds the
 // dynamic instruction count (0 = unlimited).
 func Run(p *prog.Program, machine pipeline.Config, maxInsts uint64) (Result, error) {
-	return RunWithSink(p, machine, maxInsts, nil)
+	return RunCtx(nil, p, machine, maxInsts, nil)
 }
 
-// RunWithSink executes the program on the timing simulator with an
-// observability sink attached (nil disables the event stream; see
-// internal/obs). cmd/facprof and cmd/facsim -trace are built on this.
-func RunWithSink(p *prog.Program, machine pipeline.Config, maxInsts uint64, sink obs.Sink) (Result, error) {
-	return RunCtx(nil, p, machine, maxInsts, sink)
-}
-
-// RunCtx is RunWithSink with cancellation: a non-nil context's deadline
-// or cancellation aborts the simulation's cycle loop promptly with an
-// error wrapping ctx.Err(). The simulation service (internal/simsvc)
-// uses this for per-job deadlines and client-disconnect cancellation; a
-// nil ctx disables the checks at zero cost.
+// RunCtx is Run with an observability sink and cancellation. A non-nil
+// sink receives the run's event stream (see internal/obs); cmd/facprof
+// is built on this. A non-nil context's deadline or cancellation aborts
+// the simulation's cycle loop promptly with an error wrapping ctx.Err().
+// The simulation service (internal/simsvc) uses this for per-job
+// deadlines and client-disconnect cancellation; a nil ctx disables the
+// checks at zero cost.
 func RunCtx(ctx context.Context, p *prog.Program, machine pipeline.Config, maxInsts uint64, sink obs.Sink) (Result, error) {
 	// The selective machine consults staticfac verdicts baked per linked
 	// program; this is the layer that has the program in hand, so the bake
@@ -97,7 +62,7 @@ func RunCtx(ctx context.Context, p *prog.Program, machine pipeline.Config, maxIn
 	}
 	e := emu.New(p)
 	e.MaxInsts = maxInsts
-	stats, err := pipeline.RunCtx(ctx, machine, &traceSource{e}, sink)
+	stats, err := pipeline.RunCtx(ctx, machine, e, sink)
 	if err != nil {
 		return Result{}, err
 	}
@@ -131,7 +96,7 @@ func RunMany(ctx context.Context, p *prog.Program, cfgs []pipeline.Config, maxIn
 	}
 	e := emu.New(p)
 	e.MaxInsts = maxInsts
-	stats, err := pipeline.RunMany(ctx, cfgs, &traceSource{e})
+	stats, err := pipeline.RunMany(ctx, cfgs, e)
 	out, foot := e.Out.String(), e.Mem.Footprint()
 	res := make([]Result, len(cfgs))
 	for i, st := range stats {

@@ -190,20 +190,6 @@ func CheckImage(p *prog.Program) error {
 	return nil
 }
 
-// emuSource feeds a live emulator to the pipeline, like a production run.
-type emuSource struct{ e *emu.Emulator }
-
-func (s emuSource) Next() (emu.Trace, bool, error) {
-	if s.e.Halted {
-		return emu.Trace{}, false, nil
-	}
-	tr, err := s.e.Step()
-	if err != nil {
-		return emu.Trace{}, false, err
-	}
-	return tr, true, nil
-}
-
 // Run executes the program on the functional emulator and replays it
 // through the timing pipeline under every default machine, checking the
 // image fixpoints, architectural state equivalence across machines, and
@@ -239,7 +225,7 @@ func RunMachines(p *prog.Program, maxInsts uint64, machines []Machine) error {
 			sites = obs.NewSiteCollector()
 			sink = obs.Tee{ck, sites}
 		}
-		st, err := pipeline.RunObserved(m.Cfg, emuSource{e}, sink)
+		st, err := pipeline.RunCtx(nil, m.Cfg, e, sink)
 		if err != nil {
 			return fmt.Errorf("difftest: machine %s: %v", m.Name, err)
 		}
@@ -267,7 +253,7 @@ func RunTrace(trs []emu.Trace, machines []Machine) error {
 		// A selective machine with no program behind the trace runs with an
 		// empty verdict table (pipeline defaults it): plain FAC behaviour.
 		ck := newChecker(m)
-		st, err := pipeline.RunObserved(m.Cfg, NewSliceSource(trs), ck)
+		st, err := pipeline.RunCtx(nil, m.Cfg, NewSliceSource(trs), ck)
 		if err != nil {
 			return fmt.Errorf("difftest: machine %s: %v", m.Name, err)
 		}

@@ -211,7 +211,7 @@ func TestAdversarialSeeds(t *testing.T) {
 		}
 		e := emu.New(p)
 		e.MaxInsts = 1_000_000
-		st, err := pipeline.RunObserved(m.Cfg, emuSource{e}, nil)
+		st, err := pipeline.RunCtx(nil, m.Cfg, e, nil)
 		if err != nil {
 			t.Fatalf("%s on %s: %v", s.name, s.victim, err)
 		}

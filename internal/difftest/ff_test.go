@@ -25,17 +25,17 @@ func (r *recordingSink) Event(e obs.Event) { r.events = append(r.events, e) }
 // and disabled and fails the test unless the resulting RunRecords (cycles,
 // stall partition, histograms, cache and FAC sections) are byte-identical
 // and the observability event streams are element-identical.
-func runBoth(t *testing.T, name string, cfg pipeline.Config, stream func() pipeline.Source) {
+func runBoth(t *testing.T, name string, cfg pipeline.Config, stream func() pipeline.BatchSource) {
 	t.Helper()
 
 	slow := cfg
 	slow.NoFastForward = true
 	var slowSink, fastSink recordingSink
-	slowStats, err := pipeline.RunObserved(slow, stream(), &slowSink)
+	slowStats, err := pipeline.RunCtx(nil, slow, stream(), &slowSink)
 	if err != nil {
 		t.Fatalf("%s (no fast-forward): %v", name, err)
 	}
-	fastStats, err := pipeline.RunObserved(cfg, stream(), &fastSink)
+	fastStats, err := pipeline.RunCtx(nil, cfg, stream(), &fastSink)
 	if err != nil {
 		t.Fatalf("%s (fast-forward): %v", name, err)
 	}
@@ -77,115 +77,91 @@ func TestFastForwardExact(t *testing.T) {
 	for _, m := range Machines() {
 		for _, seed := range seeds {
 			trs := RandomTrace(rand.New(rand.NewSource(seed)), 3000)
-			runBoth(t, m.Name, m.Cfg, func() pipeline.Source {
-				return &sliceSource{trs: trs}
+			runBoth(t, m.Name, m.Cfg, func() pipeline.BatchSource {
+				return NewSliceSource(trs)
 			})
 		}
 	}
 }
 
-// TestFastForwardExactProgram runs the whole stack (assembler, emulator,
-// batched trace source) under one generated MiniC program per machine.
+// TestFastForwardExactProgram runs the whole stack (assembler, emulator
+// as the trace source) under one generated MiniC program per machine.
 func TestFastForwardExactProgram(t *testing.T) {
 	src := RandomMiniC(rand.New(rand.NewSource(42)))
 	p := buildMiniC(t, src, minic.BaseOptions(), prog.DefaultConfig())
 	for _, m := range Machines() {
-		runBoth(t, m.Name, m.Cfg, func() pipeline.Source {
+		runBoth(t, m.Name, m.Cfg, func() pipeline.BatchSource {
 			e := emu.New(p)
 			e.MaxInsts = 500_000
-			return emuBatchSource{e}
+			return e
 		})
 	}
 }
 
-// sliceSource replays a recorded trace slice.
-type sliceSource struct {
-	trs []emu.Trace
-	i   int
-}
-
-func (s *sliceSource) Next() (emu.Trace, bool, error) {
-	if s.i >= len(s.trs) {
-		return emu.Trace{}, false, nil
-	}
-	tr := s.trs[s.i]
-	s.i++
-	return tr, true, nil
-}
-
-// sliceBatches replays a recorded trace slice through the batched path.
-type sliceBatches struct{ sliceSource }
-
-func (s *sliceBatches) NextBatch(buf []emu.Trace) (int, error) {
-	n := copy(buf, s.trs[s.i:])
-	s.i += n
-	return n, nil
-}
-
-// emuBatchSource mirrors core's emulator adapter, including the batched
-// path, without importing core (which would cycle).
-type emuBatchSource struct {
-	e *emu.Emulator
-}
-
-func (s emuBatchSource) Next() (emu.Trace, bool, error) {
-	if s.e.Halted {
-		return emu.Trace{}, false, nil
-	}
-	tr, err := s.e.Step()
-	if err != nil {
-		return emu.Trace{}, false, err
-	}
-	return tr, true, nil
-}
-
-func (s emuBatchSource) NextBatch(buf []emu.Trace) (int, error) {
-	n := 0
-	for n < len(buf) && !s.e.Halted {
-		if err := s.e.StepInto(&buf[n]); err != nil {
-			return 0, err
-		}
-		n++
-	}
-	return n, nil
-}
-
-// runFanout times one stream on every oracle machine at once through
-// pipeline.RunMany and fails the test unless each machine's RunRecord is
-// byte-identical to a solo RunCtx run of the same stream.
-func runFanout(t *testing.T, name string, ms []Machine, stream func() pipeline.BatchSource) {
+// runFanout times each stream on every oracle machine, alone through
+// pipeline.RunCtx and all at once through pipeline.RunMany, and fails
+// the test unless every RunRecord is byte-identical to that machine's
+// solo run of the first stream. The streams must serve the same traces.
+func runFanout(t *testing.T, name string, ms []Machine, streams ...func() pipeline.BatchSource) {
 	t.Helper()
 	cfgs := make([]pipeline.Config, len(ms))
 	for i, m := range ms {
 		cfgs[i] = m.Cfg
 	}
-	many, err := pipeline.RunMany(nil, cfgs, stream())
-	if err != nil {
-		t.Fatalf("%s: RunMany: %v", name, err)
-	}
-	for i, m := range ms {
-		solo, err := pipeline.RunCtx(nil, m.Cfg, stream().(pipeline.Source), nil)
-		if err != nil {
-			t.Fatalf("%s/%s: %v", name, m.Name, err)
-		}
-		want, err := json.Marshal(solo.Record("fanout", "", "test", m.Name))
+	record := func(st pipeline.Stats, m Machine) string {
+		b, err := json.Marshal(st.Record("fanout", "", "test", m.Name))
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := json.Marshal(many[i].Record("fanout", "", "test", m.Name))
-		if err != nil {
-			t.Fatal(err)
+		return string(b)
+	}
+	want := make([]string, len(ms))
+	for j, stream := range streams {
+		for i, m := range ms {
+			solo, err := pipeline.RunCtx(nil, m.Cfg, stream(), nil)
+			if err != nil {
+				t.Fatalf("%s/%d/%s: %v", name, j, m.Name, err)
+			}
+			if j == 0 {
+				want[i] = record(solo, m)
+			} else if got := record(solo, m); got != want[i] {
+				t.Errorf("%s/%d/%s: solo RunRecord differs\n  want: %s\n  got:  %s", name, j, m.Name, want[i], got)
+			}
 		}
-		if string(got) != string(want) {
-			t.Errorf("%s/%s: fanned-out RunRecord differs\n  solo: %s\n  many: %s", name, m.Name, want, got)
+		many, err := pipeline.RunMany(nil, cfgs, stream())
+		if err != nil {
+			t.Fatalf("%s/%d: RunMany: %v", name, j, err)
+		}
+		for i, m := range ms {
+			if got := record(many[i], m); got != want[i] {
+				t.Errorf("%s/%d/%s: fanned-out RunRecord differs\n  solo: %s\n  many: %s", name, j, m.Name, want[i], got)
+			}
 		}
 	}
+}
+
+// shortBatches serves a trace slice in uneven short batches, 1, 7 and
+// 1023 traces per call in turn, so no call fills a ring slot until the
+// stream runs out.
+type shortBatches struct {
+	trs   []emu.Trace
+	calls int
+}
+
+func (s *shortBatches) NextBatch(buf []emu.Trace) (int, error) {
+	sizes := [...]int{1, 7, 1023}
+	n := copy(buf[:min(len(buf), sizes[s.calls%len(sizes)])], s.trs)
+	s.trs = s.trs[n:]
+	s.calls++
+	return n, nil
 }
 
 // TestFanoutExact is the gate for sharing one trace stream between
 // timing models: every oracle machine, selective included, timed in one
 // RunMany group must produce the RunRecord it produces alone, on the
-// generated traces and on a MiniC program run through the emulator.
+// generated traces and on a MiniC program run through the emulator. The
+// generated traces are also served in short batches, which must time
+// exactly like full ones, alone and in a group.
 func TestFanoutExact(t *testing.T) {
 	ms := Machines()
 	seeds := []int64{1, 5, 11}
@@ -196,7 +172,9 @@ func TestFanoutExact(t *testing.T) {
 		// Long enough to wrap the ring several times.
 		trs := RandomTrace(rand.New(rand.NewSource(seed)), 20000)
 		runFanout(t, fmt.Sprintf("seed%d", seed), ms, func() pipeline.BatchSource {
-			return &sliceBatches{sliceSource{trs: trs}}
+			return NewSliceSource(trs)
+		}, func() pipeline.BatchSource {
+			return &shortBatches{trs: trs}
 		})
 	}
 
@@ -210,6 +188,6 @@ func TestFanoutExact(t *testing.T) {
 	runFanout(t, "minic", ms, func() pipeline.BatchSource {
 		e := emu.New(p)
 		e.MaxInsts = 500_000
-		return emuBatchSource{e}
+		return e
 	})
 }

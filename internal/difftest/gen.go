@@ -16,17 +16,14 @@ type SliceSource struct {
 	i   int
 }
 
-// NewSliceSource returns a pipeline.Source over trs.
+// NewSliceSource returns a pipeline.BatchSource over trs.
 func NewSliceSource(trs []emu.Trace) *SliceSource { return &SliceSource{trs: trs} }
 
-// Next implements pipeline.Source.
-func (s *SliceSource) Next() (emu.Trace, bool, error) {
-	if s.i >= len(s.trs) {
-		return emu.Trace{}, false, nil
-	}
-	tr := s.trs[s.i]
-	s.i++
-	return tr, true, nil
+// NextBatch implements pipeline.BatchSource.
+func (s *SliceSource) NextBatch(buf []emu.Trace) (int, error) {
+	n := copy(buf, s.trs[s.i:])
+	s.i += n
+	return n, nil
 }
 
 // RandomTrace generates a well-formed dynamic instruction stream of n

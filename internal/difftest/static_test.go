@@ -99,7 +99,7 @@ func TestFailureCorpus(t *testing.T) {
 			e := emu.New(p)
 			e.MaxInsts = 100_000
 			sites := obs.NewSiteCollector()
-			if _, err := pipeline.RunObserved(m.Cfg, emuSource{e}, sites); err != nil {
+			if _, err := pipeline.RunCtx(nil, m.Cfg, e, sites); err != nil {
 				t.Fatal(err)
 			}
 			d := sites.Sites[site.PC]

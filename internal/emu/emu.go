@@ -106,8 +106,8 @@ func (e *Emulator) Step() (Trace, error) {
 }
 
 // StepInto is Step writing the trace record in place — the allocation-free
-// form the batched trace source uses (the destination is a reused buffer
-// slot, so every field is overwritten).
+// form NextBatch uses (the destination is a reused buffer slot, so every
+// field is overwritten).
 func (e *Emulator) StepInto(tr *Trace) error {
 	if e.Halted {
 		return ErrHalted
@@ -133,6 +133,21 @@ func (e *Emulator) StepInto(tr *Trace) error {
 		e.ExitCode = int32(e.R[isa.V0])
 	}
 	return nil
+}
+
+// NextBatch executes up to len(buf) instructions, writing their traces
+// into buf in place, and returns how many it wrote: fewer than len(buf)
+// only when the program exits, 0 once it has. This makes the emulator a
+// pipeline.BatchSource, the timing model's instruction stream.
+func (e *Emulator) NextBatch(buf []Trace) (int, error) {
+	n := 0
+	for n < len(buf) && !e.Halted {
+		if err := e.StepInto(&buf[n]); err != nil {
+			return 0, err
+		}
+		n++
+	}
+	return n, nil
 }
 
 // ErrHalted is returned by Step once the program has exited.

@@ -32,19 +32,19 @@ func newLoopSource(iters int) *loopSource {
 	return s
 }
 
-func (s *loopSource) Next() (emu.Trace, bool, error) {
-	if s.i >= 4*s.iters {
-		return emu.Trace{}, false, nil
+func (s *loopSource) NextBatch(buf []emu.Trace) (int, error) {
+	n := 0
+	for ; n < len(buf) && s.i < 4*s.iters; n++ {
+		buf[n] = s.body[s.i&3]
+		s.i++
 	}
-	tr := s.body[s.i&3]
-	s.i++
-	return tr, true, nil
+	return n, nil
 }
 
 // TestSteadyStateZeroAllocs gates the hot loop at zero allocations per
 // cycle in the detached-sink configuration: a run 16x longer must
 // allocate exactly as much as a short one (all allocations are setup —
-// the issue-queue and store-buffer rings, the trace batch, the caches,
+// the issue-queue and store-buffer rings, the trace ring, the caches,
 // the BTB). A regression that reintroduces per-cycle or per-instruction
 // heap traffic (queue growth, event boxing, trace copies) fails here.
 func TestSteadyStateZeroAllocs(t *testing.T) {
@@ -53,7 +53,7 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 
 	run := func(iters int) float64 {
 		return testing.AllocsPerRun(10, func() {
-			if _, err := Run(cfg, newLoopSource(iters)); err != nil {
+			if _, err := RunCtx(nil, cfg, newLoopSource(iters), nil); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -64,22 +64,6 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 		t.Errorf("hot loop allocates: %.1f allocs for 500 iterations, %.1f for 8000 (want equal)",
 			short, long)
 	}
-}
-
-// loopBatches serves a loopSource through the batched path RunMany takes.
-type loopBatches struct{ *loopSource }
-
-func (s loopBatches) NextBatch(buf []emu.Trace) (int, error) {
-	n := 0
-	for n < len(buf) {
-		tr, ok, _ := s.Next()
-		if !ok {
-			break
-		}
-		buf[n] = tr
-		n++
-	}
-	return n, nil
 }
 
 // TestRunManySteadyStateAllocs extends the zero-allocation gate to the
@@ -96,7 +80,7 @@ func TestRunManySteadyStateAllocs(t *testing.T) {
 
 	run := func(iters int) float64 {
 		return testing.AllocsPerRun(10, func() {
-			if _, err := RunMany(nil, cfgs, loopBatches{newLoopSource(iters)}); err != nil {
+			if _, err := RunMany(nil, cfgs, newLoopSource(iters)); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -121,7 +105,7 @@ func BenchmarkDetachedSink(b *testing.B) {
 	cfg := DefaultConfig()
 	cfg.Predictor = "fac"
 	for i := 0; i < b.N; i++ {
-		if _, err := Run(cfg, newLoopSource(2000)); err != nil {
+		if _, err := RunCtx(nil, cfg, newLoopSource(2000), nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -133,7 +117,7 @@ func BenchmarkAttachedSink(b *testing.B) {
 	cfg.Predictor = "fac"
 	var c obs.Counter
 	for i := 0; i < b.N; i++ {
-		if _, err := RunObserved(cfg, newLoopSource(2000), &c); err != nil {
+		if _, err := RunCtx(nil, cfg, newLoopSource(2000), &c); err != nil {
 			b.Fatal(err)
 		}
 	}

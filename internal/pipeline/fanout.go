@@ -11,10 +11,11 @@ import (
 	"repro/internal/emu"
 )
 
-// The fan-out ring holds fanSlots batches of fanSlotLen traces (196 KB
+// A group's ring holds fanSlots batches of fanSlotLen traces (196 KB
 // with 48-byte traces). The fastest machine can run at most fanSlots-1
 // batches ahead of the slowest before it waits for it; larger batches
-// mean fewer hand-offs between machines.
+// mean fewer hand-offs between machines. A ring with one reader has
+// nobody to run ahead of, so it keeps a single slot (48 KB).
 const (
 	fanSlots   = 4
 	fanSlotLen = 1024
@@ -65,36 +66,26 @@ func (e RunErrors) Unwrap() []error {
 // is cancelled detaches from the ring, so the others never wait for it.
 //
 // When any machine fails, the error is a RunErrors, and the Stats of the
-// machines that finished are still valid. A single machine takes
-// RunCtx's batched path and no ring.
+// machines that finished are still valid.
 func RunMany(ctx context.Context, cfgs []Config, src BatchSource) ([]Stats, error) {
 	stats := make([]Stats, len(cfgs))
 	errs := make(RunErrors, len(cfgs))
-	if len(cfgs) == 1 {
-		s, err := newSim(ctx, cfgs[0], nil)
-		if err == nil {
-			s.pullBatches(src)
-			stats[0], err = s.simulate()
-		}
-		errs[0] = err
-	} else {
-		r := newFanRing(src, len(cfgs))
-		var wg sync.WaitGroup
-		for i, cfg := range cfgs {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				defer r.detach(i)
-				s, err := newSim(ctx, cfg, nil)
-				if err == nil {
-					s.fan = &fanConsumer{ring: r, id: i}
-					stats[i], err = s.simulate()
-				}
-				errs[i] = err
-			}()
-		}
-		wg.Wait()
+	r := newFanRing(src, len(cfgs))
+	var wg sync.WaitGroup
+	for i, cfg := range cfgs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer r.detach(i)
+			s, err := newSim(ctx, cfg, nil)
+			if err == nil {
+				s.fan = fanConsumer{ring: r, id: i}
+				stats[i], err = s.simulate()
+			}
+			errs[i] = err
+		}()
 	}
+	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
 			return stats, errs
@@ -103,8 +94,9 @@ func RunMany(ctx context.Context, cfgs []Config, src BatchSource) ([]Stats, erro
 	return stats, nil
 }
 
-// fanRing is RunMany's shared trace stream: batch seq of the stream
-// lives in slots[seq%fanSlots] until every machine has moved past it.
+// fanRing is the trace stream as the machines read it: batch seq of the
+// stream lives in slots[seq%size] until every machine has moved past it.
+// RunCtx reads through a ring with one machine.
 type fanRing struct {
 	src BatchSource
 
@@ -113,6 +105,7 @@ type fanRing struct {
 	// detaches, or a release frees the slot a would-be producer waits on.
 	moved sync.Cond
 
+	size  int // slots in use: fanSlots, or 1 for a single machine
 	slots [fanSlots][]emu.Trace
 	lens  [fanSlots]int
 	next  int   // sequence number of the next batch to pull from src
@@ -122,17 +115,22 @@ type fanRing struct {
 
 	// need[i] is the oldest batch machine i may still read: the one it
 	// holds, or, inside acquire, the one it asks for. math.MaxInt once it
-	// has detached. Slot seq%fanSlots can take batch seq only when every
-	// need is above seq-fanSlots.
+	// has detached. Slot seq%size can take batch seq only when every
+	// need is above seq-size.
 	need        []int
 	freeWaiters int // machines waiting for a slot to be released
 }
 
+// newFanRing builds the ring k machines read src through: fanSlots
+// slots for a group, one for a single machine.
 func newFanRing(src BatchSource, k int) *fanRing {
-	r := &fanRing{src: src, need: make([]int, k)}
+	r := &fanRing{src: src, size: fanSlots, need: make([]int, k)}
+	if k == 1 {
+		r.size = 1
+	}
 	r.moved.L = &r.mu
-	buf := make([]emu.Trace, fanSlots*fanSlotLen)
-	for j := range r.slots {
+	buf := make([]emu.Trace, r.size*fanSlotLen)
+	for j := range r.slots[:r.size] {
 		r.slots[j] = buf[j*fanSlotLen : (j+1)*fanSlotLen : (j+1)*fanSlotLen]
 	}
 	return r
@@ -153,14 +151,14 @@ func (c *fanConsumer) next() ([]emu.Trace, error) {
 	seq := c.want
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if old := r.need[c.id]; r.freeWaiters > 0 && old <= r.next-fanSlots {
+	if old := r.need[c.id]; r.freeWaiters > 0 && old <= r.next-r.size {
 		r.moved.Broadcast() // this machine may have held the slot a producer waits on
 	}
 	r.need[c.id] = seq
 	for {
 		if seq < r.next {
 			c.want = seq + 1
-			j := seq % fanSlots
+			j := seq % r.size
 			return r.slots[j][:r.lens[j]], nil
 		}
 		switch {
@@ -170,7 +168,7 @@ func (c *fanConsumer) next() ([]emu.Trace, error) {
 			return nil, nil
 		case r.busy:
 			r.moved.Wait()
-		case r.minNeed() <= seq-fanSlots:
+		case r.minNeed() <= seq-r.size:
 			r.freeWaiters++
 			r.moved.Wait()
 			r.freeWaiters--
@@ -179,7 +177,7 @@ func (c *fanConsumer) next() ([]emu.Trace, error) {
 			// next advances, and busy keeps the other machines out of src.
 			r.busy = true
 			r.mu.Unlock()
-			n, err := r.src.NextBatch(r.slots[seq%fanSlots])
+			n, err := r.src.NextBatch(r.slots[seq%r.size])
 			r.mu.Lock()
 			r.busy = false
 			switch {
@@ -188,7 +186,7 @@ func (c *fanConsumer) next() ([]emu.Trace, error) {
 			case n == 0:
 				r.end = true
 			default:
-				r.lens[seq%fanSlots] = n
+				r.lens[seq%r.size] = n
 				r.next++
 			}
 			r.moved.Broadcast()

@@ -47,7 +47,7 @@ func TestRandomTraceInvariants(t *testing.T) {
 		trs := difftest.RandomTrace(r, n)
 		for ci, mk := range configs {
 			cfg := mk()
-			st, err := pipeline.Run(cfg, difftest.NewSliceSource(trs))
+			st, err := pipeline.RunCtx(nil, cfg, difftest.NewSliceSource(trs), nil)
 			if err != nil {
 				t.Fatalf("trial %d config %d: %v", trial, ci, err)
 			}
@@ -112,7 +112,7 @@ func TestFACNeverCatastrophic(t *testing.T) {
 
 func mustRunExt(t *testing.T, cfg pipeline.Config, trs []emu.Trace) pipeline.Stats {
 	t.Helper()
-	st, err := pipeline.Run(cfg, difftest.NewSliceSource(trs))
+	st, err := pipeline.RunCtx(nil, cfg, difftest.NewSliceSource(trs), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

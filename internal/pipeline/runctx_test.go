@@ -18,14 +18,16 @@ type endlessSource struct {
 	pc uint32
 }
 
-func (s *endlessSource) Next() (emu.Trace, bool, error) {
-	tr := emu.Trace{
-		PC:     s.pc,
-		Inst:   isa.Inst{Op: isa.ADD, Rd: isa.T0, Rs: isa.T1, Rt: isa.T2},
-		NextPC: s.pc + isa.InstBytes,
+func (s *endlessSource) NextBatch(buf []emu.Trace) (int, error) {
+	for i := range buf {
+		buf[i] = emu.Trace{
+			PC:     s.pc,
+			Inst:   isa.Inst{Op: isa.ADD, Rd: isa.T0, Rs: isa.T1, Rt: isa.T2},
+			NextPC: s.pc + isa.InstBytes,
+		}
+		s.pc += isa.InstBytes
 	}
-	s.pc += isa.InstBytes
-	return tr, true, nil
+	return len(buf), nil
 }
 
 // TestRunCtxNilMatchesRun: a background-style nil context changes nothing

@@ -14,24 +14,15 @@ import (
 	"repro/internal/predict"
 )
 
-// Source supplies the dynamic instruction stream in program order. Next
-// returns false when the program has finished.
-type Source interface {
-	Next() (emu.Trace, bool, error)
-}
-
-// BatchSource is an optional refinement of Source: NextBatch fills buf
-// with as many traces as remain (up to len(buf)) and returns the count,
-// 0 at end of stream. Sources that implement it (core's emulator
-// adapter) are pulled in bulk, amortizing the per-instruction interface
-// call; the producer may run up to one batch ahead of the timing model,
+// BatchSource supplies the dynamic instruction stream in program order:
+// NextBatch fills buf with as many traces as remain (up to len(buf)) and
+// returns the count, 0 at end of stream. The emulator itself is one
+// (emu.Emulator.NextBatch). The timing model reads the stream through a
+// ring of batches (fanout.go), so the producer may run ahead of it,
 // which is safe because the stream is trace-driven and replayed as-is.
 type BatchSource interface {
 	NextBatch(buf []emu.Trace) (int, error)
 }
-
-// batchSize is the trace buffer length used with a BatchSource.
-const batchSize = 256
 
 // ringBits sizes the per-cycle cache-port reservation ring. Reservations
 // only ever target the current or next cycle, so a small ring suffices.
@@ -41,10 +32,8 @@ type sim struct {
 	cfg     Config
 	pred    predict.Predictor // nil = no address prediction
 	opBased bool              // pred.OperandBased() (hoisted off the hot path)
-	src     Source
-	bsrc    BatchSource     // non-nil when src implements BatchSource
-	fan     *fanConsumer    // non-nil under RunMany: batches are read in place from its ring
-	ctx     context.Context // nil = cancellation disabled
+	fan     fanConsumer       // the stream: batches are read in place from its ring
+	ctx     context.Context   // nil = cancellation disabled
 
 	icache *cache.Cache
 	dcache *cache.Cache
@@ -53,7 +42,7 @@ type sim struct {
 	stats Stats
 	sink  obs.Sink // nil = observability disabled (no event allocations)
 
-	// Fetch: the trace buffer (batch[batchPos:batchLen] is unconsumed).
+	// Fetch: the ring slot being read (batch[batchPos:batchLen] is unconsumed).
 	nextFetchCycle uint64
 	batch          []emu.Trace
 	batchPos       int
@@ -157,50 +146,31 @@ func (s *sim) sbPop() storeEnt {
 	return e
 }
 
-// Run simulates the instruction stream and returns timing statistics.
-func Run(cfg Config, src Source) (Stats, error) {
-	return RunObserved(cfg, src, nil)
-}
-
-// RunObserved simulates the instruction stream with an event sink
-// attached (nil disables the stream at zero cost). The sink receives
-// every pipeline and cache event in simulation order.
-func RunObserved(cfg Config, src Source, sink obs.Sink) (Stats, error) {
-	return RunCtx(nil, cfg, src, sink)
-}
-
 // ctxCheckInterval spaces out cancellation checks: the context is polled
 // every 4096 simulated cycles (fast-forwarded cycles count), so an abort
 // costs at most a few microseconds of extra simulation while the
 // steady-state loop pays one nil comparison per cycle.
 const ctxCheckInterval = 1 << 12
 
-// RunCtx is RunObserved with cancellation: when ctx is non-nil, its
-// cancellation or deadline aborts the cycle loop promptly (checked every
-// few thousand cycles) and the run returns an error wrapping ctx.Err().
-// A nil ctx disables the checks entirely; timing is identical either way.
-func RunCtx(ctx context.Context, cfg Config, src Source, sink obs.Sink) (Stats, error) {
+// RunCtx simulates the instruction stream and returns timing statistics.
+// A non-nil sink receives every pipeline and cache event in simulation
+// order (nil disables the event stream at zero cost). When ctx is
+// non-nil, its cancellation or deadline aborts the cycle loop promptly
+// (checked every few thousand cycles) and the run returns an error
+// wrapping ctx.Err(). A nil ctx disables the checks entirely; timing is
+// identical either way. The stream is read through a one-slot ring, the
+// same consumer RunMany gives each of its machines.
+func RunCtx(ctx context.Context, cfg Config, src BatchSource, sink obs.Sink) (Stats, error) {
 	s, err := newSim(ctx, cfg, sink)
 	if err != nil {
 		return Stats{}, err
 	}
-	if bs, ok := src.(BatchSource); ok {
-		s.pullBatches(bs)
-	} else {
-		s.src = src
-		s.batch = make([]emu.Trace, 1)
-	}
+	s.fan = fanConsumer{ring: newFanRing(src, 1)}
 	return s.simulate()
 }
 
-// pullBatches attaches a BatchSource, read batchSize traces at a time.
-func (s *sim) pullBatches(bs BatchSource) {
-	s.bsrc = bs
-	s.batch = make([]emu.Trace, batchSize)
-}
-
 // newSim validates cfg and builds a simulator with no trace source
-// attached: RunCtx attaches a Source, RunMany a ring consumer.
+// attached: the caller attaches a ring consumer.
 func newSim(ctx context.Context, cfg Config, sink obs.Sink) (*sim, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -409,8 +379,8 @@ func (s *sim) note(cycle uint64) {
 
 // peekTrace exposes the next dynamic instruction without consuming it.
 // The returned pointer is valid until the next peekTrace call that
-// refills the batch buffer; nil means the stream has ended. Under
-// RunMany that refill is also what releases the previous ring slot.
+// refills the batch; nil means the stream has ended. That refill is also
+// what releases the previous ring slot.
 func (s *sim) peekTrace() (*emu.Trace, error) {
 	if s.batchPos < s.batchLen {
 		return &s.batch[s.batchPos], nil
@@ -418,40 +388,15 @@ func (s *sim) peekTrace() (*emu.Trace, error) {
 	if s.srcDone {
 		return nil, nil
 	}
-	if s.fan != nil {
-		b, err := s.fan.next()
-		if err != nil {
-			return nil, err
-		}
-		if len(b) == 0 {
-			s.srcDone = true
-			return nil, nil
-		}
-		s.batch, s.batchPos, s.batchLen = b, 0, len(b)
-		return &s.batch[0], nil
-	}
-	if s.bsrc != nil {
-		n, err := s.bsrc.NextBatch(s.batch)
-		if err != nil {
-			return nil, err
-		}
-		if n == 0 {
-			s.srcDone = true
-			return nil, nil
-		}
-		s.batchPos, s.batchLen = 0, n
-		return &s.batch[0], nil
-	}
-	tr, ok, err := s.src.Next()
+	b, err := s.fan.next()
 	if err != nil {
 		return nil, err
 	}
-	if !ok {
+	if len(b) == 0 {
 		s.srcDone = true
 		return nil, nil
 	}
-	s.batch[0] = tr
-	s.batchPos, s.batchLen = 0, 1
+	s.batch, s.batchPos, s.batchLen = b, 0, len(b)
 	return &s.batch[0], nil
 }
 

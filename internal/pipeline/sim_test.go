@@ -12,13 +12,10 @@ type sliceSource struct {
 	i   int
 }
 
-func (s *sliceSource) Next() (emu.Trace, bool, error) {
-	if s.i >= len(s.trs) {
-		return emu.Trace{}, false, nil
-	}
-	tr := s.trs[s.i]
-	s.i++
-	return tr, true, nil
+func (s *sliceSource) NextBatch(buf []emu.Trace) (int, error) {
+	n := copy(buf, s.trs[s.i:])
+	s.i += n
+	return n, nil
 }
 
 // seq builds a contiguous straight-line trace starting at pc 0x400000.
@@ -48,7 +45,7 @@ func fastCfg() Config {
 
 func mustRun(t *testing.T, cfg Config, trs []emu.Trace) Stats {
 	t.Helper()
-	st, err := Run(cfg, &sliceSource{trs: trs})
+	st, err := RunCtx(nil, cfg, &sliceSource{trs: trs}, nil)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -224,7 +221,7 @@ func TestPostMispredictRule(t *testing.T) {
 	// The load mispredicts at its issue cycle n. The dependent add issues
 	// at n+2 (replay latency), and the second access at n+2 as well — past
 	// the blocked cycle, so it speculates.
-	st, err := Run(cfg, &sliceSource{trs: mk(isa.LW)})
+	st, err := RunCtx(nil, cfg, &sliceSource{trs: mk(isa.LW)}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +245,7 @@ func TestPostMispredictRule(t *testing.T) {
 	}
 	// Both memory ops issue in the same cycle (2 LS units): same-cycle
 	// accesses both speculate (verification is end-of-cycle).
-	st, err = Run(cfg, &sliceSource{trs: mkAdjacent(isa.LW)})
+	st, err = RunCtx(nil, cfg, &sliceSource{trs: mkAdjacent(isa.LW)}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +309,7 @@ func TestBranchMispredictPenalty(t *testing.T) {
 		trs = trs[:len(trs)-2]
 		trs = append(trs, emu.Trace{PC: next, Inst: isa.Inst{Op: isa.J, Imm: int32(loopPC + 4)}, NextPC: loopPC + 4})
 	}
-	st2, err := Run(fastCfg(), &sliceSource{trs: trs})
+	st2, err := RunCtx(nil, fastCfg(), &sliceSource{trs: trs}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

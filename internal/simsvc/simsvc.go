@@ -126,23 +126,59 @@ type runOutcome struct {
 	cacheHit bool
 }
 
+// resolvedSpec is a JobSpec with every name looked up and every default
+// applied: what Validate checks, what Key hashes, and what Run simulates.
+type resolvedSpec struct {
+	spec     JobSpec
+	w        workload.Workload
+	tc       workload.Toolchain
+	cfg      pipeline.Config
+	maxInsts uint64
+}
+
+// resolve looks up the spec's workload, toolchain, and machine, and
+// applies the instruction-bound defaults.
+func (r *Runner) resolve(spec JobSpec) (resolvedSpec, error) {
+	rs := resolvedSpec{spec: spec}
+	var err error
+	if rs.w, err = workload.ByName(spec.Workload); err != nil {
+		return rs, err
+	}
+	switch spec.Toolchain {
+	case "base":
+		rs.tc = workload.BaseToolchain()
+	case "fac":
+		rs.tc = workload.FACToolchain()
+	default:
+		return rs, fmt.Errorf("simsvc: unknown toolchain %q (want base or fac)", spec.Toolchain)
+	}
+	if r.Resolve == nil {
+		return rs, errors.New("simsvc: runner has no machine resolver")
+	}
+	if rs.cfg, err = r.Resolve(spec.Machine); err != nil {
+		return rs, err
+	}
+	rs.maxInsts = spec.MaxInsts
+	if rs.maxInsts == 0 {
+		rs.maxInsts = r.MaxInsts
+	}
+	if rs.maxInsts == 0 {
+		rs.maxInsts = DefaultMaxInsts
+	}
+	return rs, nil
+}
+
+// key is the resolved spec's content-addressed cache key.
+func (rs resolvedSpec) key() (string, error) {
+	return CacheKey(rs.w, rs.spec.Toolchain, rs.spec.Machine, rs.cfg, rs.maxInsts)
+}
+
 // Validate checks that a spec names a known workload, toolchain, and
 // machine without running anything, so the service can reject a bad
 // batch at submission time.
 func (r *Runner) Validate(spec JobSpec) error {
-	if _, err := workload.ByName(spec.Workload); err != nil {
-		return err
-	}
-	if spec.Toolchain != "base" && spec.Toolchain != "fac" {
-		return fmt.Errorf("simsvc: unknown toolchain %q (want base or fac)", spec.Toolchain)
-	}
-	if r.Resolve == nil {
-		return fmt.Errorf("simsvc: runner has no machine resolver")
-	}
-	if _, err := r.Resolve(spec.Machine); err != nil {
-		return err
-	}
-	return nil
+	_, err := r.resolve(spec)
+	return err
 }
 
 // DedupCount reports how many jobs were served by joining an identical
@@ -163,25 +199,11 @@ func (r *Runner) CacheStats() (DiskCacheStats, bool) {
 // of "the identity of this run" goes through here, so sharding, dedup,
 // and caching all agree on what "the same run" means.
 func (r *Runner) Key(spec JobSpec) (string, error) {
-	w, err := workload.ByName(spec.Workload)
+	rs, err := r.resolve(spec)
 	if err != nil {
 		return "", err
 	}
-	if r.Resolve == nil {
-		return "", errors.New("simsvc: runner has no machine resolver")
-	}
-	cfg, err := r.Resolve(spec.Machine)
-	if err != nil {
-		return "", err
-	}
-	maxInsts := spec.MaxInsts
-	if maxInsts == 0 {
-		maxInsts = r.MaxInsts
-	}
-	if maxInsts == 0 {
-		maxInsts = DefaultMaxInsts
-	}
-	return CacheKey(w, spec.Toolchain, spec.Machine, cfg, maxInsts)
+	return rs.key()
 }
 
 // Warm pre-populates and pins the given specs in the persistent cache:
@@ -219,34 +241,11 @@ func (r *Runner) Warm(ctx context.Context, specs []JobSpec) (simulated, hits int
 // deadline aborts the simulation's cycle loop promptly; the error then
 // wraps ctx.Err().
 func (r *Runner) Run(ctx context.Context, spec JobSpec) (rec obs.RunRecord, cacheHit bool, err error) {
-	w, err := workload.ByName(spec.Workload)
+	rs, err := r.resolve(spec)
 	if err != nil {
 		return obs.RunRecord{}, false, err
 	}
-	var tc workload.Toolchain
-	switch spec.Toolchain {
-	case "base":
-		tc = workload.BaseToolchain()
-	case "fac":
-		tc = workload.FACToolchain()
-	default:
-		return obs.RunRecord{}, false, fmt.Errorf("simsvc: unknown toolchain %q (want base or fac)", spec.Toolchain)
-	}
-	if r.Resolve == nil {
-		return obs.RunRecord{}, false, fmt.Errorf("simsvc: runner has no machine resolver")
-	}
-	cfg, err := r.Resolve(spec.Machine)
-	if err != nil {
-		return obs.RunRecord{}, false, err
-	}
-	maxInsts := spec.MaxInsts
-	if maxInsts == 0 {
-		maxInsts = r.MaxInsts
-	}
-	if maxInsts == 0 {
-		maxInsts = DefaultMaxInsts
-	}
-	key, err := CacheKey(w, spec.Toolchain, spec.Machine, cfg, maxInsts)
+	key, err := rs.key()
 	if err != nil {
 		return obs.RunRecord{}, false, err
 	}
@@ -257,11 +256,12 @@ func (r *Runner) Run(ctx context.Context, spec JobSpec) (rec obs.RunRecord, cach
 				return runOutcome{rec: rec, cacheHit: true}, nil
 			}
 		}
-		p, err := workload.Build(w, tc)
+		w := rs.w
+		p, err := workload.Build(w, rs.tc)
 		if err != nil {
 			return nil, err
 		}
-		res, err := core.RunCtx(ctx, p, cfg, maxInsts, nil)
+		res, err := core.RunCtx(ctx, p, rs.cfg, rs.maxInsts, nil)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", spec, err)
 		}

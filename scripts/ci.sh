@@ -12,6 +12,11 @@
 #                                    -short trims the experiment sweeps and
 #                                    difftest seed counts, which -race would
 #                                    otherwise stretch past 15 minutes)
+#   perfbench module           ~2s  (go vet and go test in perfbench/, the
+#                                    benchmark harness's own Go module,
+#                                    which the root ./... skips; it calls
+#                                    pipeline, core and simsvc, so an API
+#                                    change that breaks it fails here)
 #   fuzz smoke                ~20s  (4 targets x 5s plus instrumented builds)
 #   faclint smoke              ~1s  (static FAC-predictability analysis over
 #                                    the 19-benchmark suite must classify at
@@ -71,6 +76,9 @@ go test ./...
 
 echo "== go test -race (short) =="
 go test -race -short ./...
+
+echo "== perfbench module =="
+(cd perfbench && go vet ./... && go test ./...)
 
 echo "== fuzz smoke =="
 for target in FuzzFACPredict FuzzEncodeDecode FuzzAsmRoundtrip FuzzEmuVsPipeline; do
