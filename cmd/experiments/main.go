@@ -92,15 +92,16 @@ func main() {
 	if *remote != "" {
 		s.SetRemote(&simsvc.Client{Base: *remote, Token: *token})
 	}
-	// runs lists the timing runs a step reads (nil for the functional-only
-	// steps), so that every selected step's runs execute in one Prefetch.
+	// runs lists the timing and functional runs a step reads, so that
+	// every selected step's runs execute in one Prefetch. Figure 3 reads
+	// four base binaries one by one instead.
 	steps := []struct {
 		on   bool
 		name string
 		runs func() []experiments.Run
 		run  func() (string, error)
 	}{
-		{*table1 || all, "Table 1", nil, func() (string, error) {
+		{*table1 || all, "Table 1", experiments.Table1Runs, func() (string, error) {
 			r, err := s.Table1()
 			if err != nil {
 				return "", err
@@ -156,7 +157,7 @@ func main() {
 			}
 			return r.Table().String(), nil
 		}},
-		{*ltbCmp || all, "LTB comparison", nil, func() (string, error) {
+		{*ltbCmp || all, "LTB comparison", experiments.LTBRuns, func() (string, error) {
 			r, err := s.CompareLTB()
 			if err != nil {
 				return "", err
@@ -185,9 +186,9 @@ func main() {
 			return r.Table().String(), nil
 		}},
 	}
-	// Execute every selected step's timing runs up front, so that each
-	// binary is emulated once for all of its machines; the steps' own
-	// Prefetch calls then find them memoized.
+	// Execute every selected step's runs up front, so that each binary is
+	// emulated once for all of its machines and its functional run; the
+	// steps' own Prefetch calls then find them memoized.
 	var plan []experiments.Run
 	for _, st := range steps {
 		if st.on && st.runs != nil {

@@ -27,14 +27,23 @@ func Build(source string, link prog.Config) (*prog.Program, error) {
 	return prog.Link(o, link)
 }
 
-// Result combines the functional outcome of a run with its timing.
-type Result struct {
-	Stats    pipeline.Stats
+// Outcome is the functional outcome of a program's execution.
+type Outcome struct {
 	Output   string
 	ExitCode int32
 	// MemFootprint is the number of data bytes touched (whole pages), the
 	// paper's "memory usage" metric.
 	MemFootprint uint64
+}
+
+func outcome(e *emu.Emulator) Outcome {
+	return Outcome{Output: e.Out.String(), ExitCode: e.ExitCode, MemFootprint: e.Mem.Footprint()}
+}
+
+// Result combines the functional outcome of a run with its timing.
+type Result struct {
+	Stats pipeline.Stats
+	Outcome
 }
 
 // IPC returns instructions per cycle.
@@ -66,23 +75,18 @@ func RunCtx(ctx context.Context, p *prog.Program, machine pipeline.Config, maxIn
 	if err != nil {
 		return Result{}, err
 	}
-	return Result{
-		Stats:        stats,
-		Output:       e.Out.String(),
-		ExitCode:     e.ExitCode,
-		MemFootprint: e.Mem.Footprint(),
-	}, nil
+	return Result{Stats: stats, Outcome: outcome(e)}, nil
 }
 
-// RunMany executes the program once and times that one dynamic
-// instruction stream on every machine in cfgs (pipeline.RunMany). Each
-// Result equals what RunCtx returns for that machine alone. The
-// functional fields (Output, ExitCode, MemFootprint) come from the one
-// emulator, so they are the same in every Result. The selective
-// machine's static table is baked once per geometry for the whole group.
-// When any machine fails, the error is a pipeline.RunErrors
-// index-aligned with cfgs, and the other machines' Results stay valid.
-func RunMany(ctx context.Context, p *prog.Program, cfgs []pipeline.Config, maxInsts uint64) ([]Result, error) {
+// RunMany executes the program once, times that one dynamic instruction
+// stream on every machine in cfgs and hands it to every reader
+// (pipeline.RunMany). Each machine's Stats equal what RunCtx returns for
+// it alone. The program's Outcome comes back once for the whole group,
+// which may have no machines at all. The selective machine's static
+// table is baked once per geometry for the whole group. When any machine
+// fails, the error is a pipeline.RunErrors index-aligned with cfgs, and
+// the other machines' Stats stay valid.
+func RunMany(ctx context.Context, p *prog.Program, cfgs []pipeline.Config, maxInsts uint64, readers ...func([]emu.Trace)) (Outcome, []pipeline.Stats, error) {
 	cfgs = append([]pipeline.Config(nil), cfgs...)
 	static := make(map[fac.Config]*predict.StaticTable)
 	for i := range cfgs {
@@ -96,13 +100,8 @@ func RunMany(ctx context.Context, p *prog.Program, cfgs []pipeline.Config, maxIn
 	}
 	e := emu.New(p)
 	e.MaxInsts = maxInsts
-	stats, err := pipeline.RunMany(ctx, cfgs, e)
-	out, foot := e.Out.String(), e.Mem.Footprint()
-	res := make([]Result, len(cfgs))
-	for i, st := range stats {
-		res[i] = Result{Stats: st, Output: out, ExitCode: e.ExitCode, MemFootprint: foot}
-	}
-	return res, err
+	stats, err := pipeline.RunMany(ctx, cfgs, e, readers...)
+	return outcome(e), stats, err
 }
 
 // RunFunctional executes the program on the emulator alone (no timing),

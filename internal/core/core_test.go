@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/emu"
 	"repro/internal/pipeline"
 	"repro/internal/prog"
 )
@@ -86,7 +87,7 @@ func TestRunFaultPropagates(t *testing.T) {
 	// A fault in the shared emulator reaches every machine of a group.
 	fac := pipeline.DefaultConfig()
 	fac.Predictor = "fac"
-	_, err = RunMany(nil, p, []pipeline.Config{pipeline.DefaultConfig(), fac, pipeline.DefaultConfig()}, 0)
+	_, _, err = RunMany(nil, p, []pipeline.Config{pipeline.DefaultConfig(), fac, pipeline.DefaultConfig()}, 0)
 	var errs pipeline.RunErrors
 	if !errors.As(err, &errs) || len(errs) != 3 {
 		t.Fatalf("group fault: %v, want a RunErrors for 3 machines", err)
@@ -122,7 +123,8 @@ spin:
 `
 
 // TestRunManyMatchesRunCtx: every machine of a group, one of them
-// machine 0 alone, gets the Result RunCtx gives it.
+// machine 0 alone, gets the Result RunCtx gives it, and a group with no
+// machines still returns the program's Outcome.
 func TestRunManyMatchesRunCtx(t *testing.T) {
 	p, err := Build(stallAsm, prog.DefaultConfig())
 	if err != nil {
@@ -133,18 +135,28 @@ func TestRunManyMatchesRunCtx(t *testing.T) {
 	sel := pipeline.DefaultConfig()
 	sel.Predictor = "selective"
 	cfgs := []pipeline.Config{pipeline.DefaultConfig(), fac, sel}
-	for _, group := range [][]pipeline.Config{cfgs, cfgs[:1]} {
-		got, err := RunMany(nil, p, group, 0)
+	for _, group := range [][]pipeline.Config{cfgs, cfgs[:1], nil} {
+		out, stats, err := RunMany(nil, p, group, 0)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if len(stats) != len(group) {
+			t.Fatalf("group of %d: %d Stats", len(group), len(stats))
+		}
+		want, err := Run(p, cfgs[0], 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out != want.Outcome {
+			t.Errorf("group of %d: Outcome %+v, RunCtx %+v", len(group), out, want.Outcome)
 		}
 		for i, cfg := range group {
 			want, err := Run(p, cfg, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(got[i], want) {
-				t.Errorf("group of %d, machine %d: RunMany %+v, RunCtx %+v", len(group), i, got[i], want)
+			if got := (Result{Stats: stats[i], Outcome: out}); !reflect.DeepEqual(got, want) {
+				t.Errorf("group of %d, machine %d: RunMany %+v, RunCtx %+v", len(group), i, got, want)
 			}
 		}
 	}
@@ -164,7 +176,7 @@ func TestRunManyMachineFails(t *testing.T) {
 	fac.Predictor = "fac"
 	cfgs := []pipeline.Config{pipeline.DefaultConfig(), stuck, fac}
 
-	res, err := RunMany(nil, p, cfgs, 0)
+	out, stats, err := RunMany(nil, p, cfgs, 0)
 	var errs pipeline.RunErrors
 	if !errors.As(err, &errs) {
 		t.Fatalf("err = %v, want a RunErrors", err)
@@ -181,8 +193,8 @@ func TestRunManyMachineFails(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(res[i], want) {
-			t.Errorf("machine %d: %+v, want %+v", i, res[i], want)
+		if got := (Result{Stats: stats[i], Outcome: out}); !reflect.DeepEqual(got, want) {
+			t.Errorf("machine %d: %+v, want %+v", i, got, want)
 		}
 	}
 }
@@ -200,7 +212,7 @@ func TestRunManyCancelled(t *testing.T) {
 	defer cancel()
 	fac := pipeline.DefaultConfig()
 	fac.Predictor = "fac"
-	_, err = RunMany(ctx, p, []pipeline.Config{pipeline.DefaultConfig(), fac, pipeline.DefaultConfig()}, 0)
+	_, _, err = RunMany(ctx, p, []pipeline.Config{pipeline.DefaultConfig(), fac, pipeline.DefaultConfig()}, 0)
 	var errs pipeline.RunErrors
 	if !errors.As(err, &errs) {
 		t.Fatalf("err = %v, want a RunErrors", err)
@@ -210,12 +222,34 @@ func TestRunManyCancelled(t *testing.T) {
 			t.Errorf("machine %d: %v, want the deadline", i, e)
 		}
 	}
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("errors.Is does not see the deadline through the RunErrors: %v", err)
+	}
 	// RunMany waits for its machines, so only the context's timer
 	// goroutine may still be finishing.
 	for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > before; runtime.Gosched() {
 		if time.Now().After(deadline) {
 			t.Fatalf("%d goroutines after RunMany, %d before", runtime.NumGoroutine(), before)
 		}
+	}
+}
+
+// TestRunManyReaderCancelled: a group with a reader and no machines
+// stops at its context's deadline too, with the deadline as its error.
+func TestRunManyReaderCancelled(t *testing.T) {
+	p, err := Build("main:\n\taddi $t0, $t0, 1\n\tj main\n", prog.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	traces := 0
+	_, stats, err := RunMany(ctx, p, nil, 0, func(b []emu.Trace) { traces += len(b) })
+	if !errors.Is(err, context.DeadlineExceeded) || len(stats) != 0 {
+		t.Fatalf("err = %v with %d Stats, want the deadline and none", err, len(stats))
+	}
+	if traces == 0 {
+		t.Error("the reader saw no traces before the deadline")
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/emu"
@@ -99,9 +100,11 @@ func TestFastForwardExactProgram(t *testing.T) {
 }
 
 // runFanout times each stream on every oracle machine, alone through
-// pipeline.RunCtx and all at once through pipeline.RunMany, and fails
-// the test unless every RunRecord is byte-identical to that machine's
-// solo run of the first stream. The streams must serve the same traces.
+// pipeline.RunCtx and all at once through pipeline.RunMany, with and
+// without a batch reader in the group, and fails the test unless every
+// RunRecord is byte-identical to that machine's solo run of the first
+// stream and the reader saw the whole stream. The streams must serve the
+// same traces.
 func runFanout(t *testing.T, name string, ms []Machine, streams ...func() pipeline.BatchSource) {
 	t.Helper()
 	cfgs := make([]pipeline.Config, len(ms))
@@ -137,6 +140,39 @@ func runFanout(t *testing.T, name string, ms []Machine, streams ...func() pipeli
 				t.Errorf("%s/%d/%s: fanned-out RunRecord differs\n  solo: %s\n  many: %s", name, j, m.Name, want[i], got)
 			}
 		}
+
+		// The same group with a batch reader attached: the reader sees
+		// the whole stream in order, and no machine's timing moves.
+		var seen []emu.Trace
+		many, err = pipeline.RunMany(nil, cfgs, stream(), func(b []emu.Trace) { seen = append(seen, b...) })
+		if err != nil {
+			t.Fatalf("%s/%d: RunMany with a reader: %v", name, j, err)
+		}
+		for i, m := range ms {
+			if got := record(many[i], m); got != want[i] {
+				t.Errorf("%s/%d/%s: RunRecord with a reader differs\n  solo: %s\n  many: %s", name, j, m.Name, want[i], got)
+			}
+		}
+		if all := drain(t, stream()); !slices.Equal(seen, all) {
+			t.Errorf("%s/%d: the reader saw %d traces, not the stream's %d", name, j, len(seen), len(all))
+		}
+	}
+}
+
+// drain reads a whole stream.
+func drain(t *testing.T, src pipeline.BatchSource) []emu.Trace {
+	t.Helper()
+	var all []emu.Trace
+	buf := make([]emu.Trace, 100)
+	for {
+		n, err := src.NextBatch(buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n == 0 {
+			return all
+		}
+		all = append(all, buf[:n]...)
 	}
 }
 
@@ -161,7 +197,8 @@ func (s *shortBatches) NextBatch(buf []emu.Trace) (int, error) {
 // RunMany group must produce the RunRecord it produces alone, on the
 // generated traces and on a MiniC program run through the emulator. The
 // generated traces are also served in short batches, which must time
-// exactly like full ones, alone and in a group.
+// exactly like full ones, alone and in a group. A batch reader in the
+// group sees every trace and changes no machine's timing.
 func TestFanoutExact(t *testing.T) {
 	ms := Machines()
 	seeds := []int64{1, 5, 11}

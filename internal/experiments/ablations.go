@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"repro/internal/fac"
-	"repro/internal/profile"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
@@ -35,12 +33,12 @@ type AblationResult struct {
 	Rows []AblationRow
 }
 
-// AblationRuns lists the timing runs Ablations reads.
+// AblationRuns lists the runs Ablations reads.
 func AblationRuns() []Run {
 	return grid([][2]string{
 		{"base", string(MFAC32)}, {"base", string(MFAC32Tag)},
 		{"fac", string(MFAC32)}, {"fac", string(MFAC32SB4)}, {"fac", string(MFAC32SB64)},
-		{"fac", string(MFAC32MSHR1)},
+		{"fac", string(MFAC32MSHR1)}, {"base", ""},
 	})
 }
 
@@ -52,21 +50,15 @@ func (s *Suite) Ablations() (*AblationResult, error) {
 		return nil, err
 	}
 
-	geoTag := fac.Config{BlockBits: 5, SetBits: 14, TagAdder: true}
-	geo64 := fac.Config{BlockBits: 6, SetBits: 14}
-
 	res := &AblationResult{}
 	for _, w := range workload.All() {
 		row := AblationRow{Name: w.Name, Class: w.Class}
 
-		p, err := s.Program(w, "base")
+		fr, err := s.Functional(w, "base")
 		if err != nil {
 			return nil, err
 		}
-		prof, _, err := profile.Run(p, s.MaxInsts, Geo16, Geo32, geoTag, geo64)
-		if err != nil {
-			return nil, err
-		}
+		prof := fr.Profile // geometries: 16B, 32B, 32B with a tag adder, 64B
 		row.LoadFail16 = prof.LoadFailRate(0)
 		row.LoadFail32 = prof.LoadFailRate(1)
 		row.LoadFailOR = prof.LoadFailRate(1)

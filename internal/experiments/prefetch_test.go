@@ -4,18 +4,21 @@ import (
 	"context"
 	"net/http/httptest"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
+	"repro/internal/emu"
 	"repro/internal/pipeline"
 	"repro/internal/prog"
 	"repro/internal/simsvc"
 	"repro/internal/workload"
 )
 
-// passLog records the emulation passes a Suite's local simulations make:
-// one entry per core.RunMany call, with the number of machines it timed.
+// passLog records the emulation passes a Suite makes: one entry per
+// runMany call, with the number of machines it timed.
 type passLog struct {
 	mu       sync.Mutex
 	machines map[*prog.Program][]int
@@ -23,19 +26,50 @@ type passLog struct {
 
 // logPasses wraps s's simulator, or stub in its place when non-nil, to
 // record every pass.
-func logPasses(s *Suite, stub func(*prog.Program, []pipeline.Config) []core.Result) *passLog {
+func logPasses(s *Suite, stub func(*prog.Program) core.Outcome) *passLog {
 	l := &passLog{machines: make(map[*prog.Program][]int)}
 	run := s.runMany
-	s.runMany = func(ctx context.Context, p *prog.Program, cfgs []pipeline.Config, maxInsts uint64) ([]core.Result, error) {
+	s.runMany = func(ctx context.Context, p *prog.Program, cfgs []pipeline.Config, maxInsts uint64, readers ...func([]emu.Trace)) (core.Outcome, []pipeline.Stats, error) {
 		l.mu.Lock()
 		l.machines[p] = append(l.machines[p], len(cfgs))
 		l.mu.Unlock()
 		if stub != nil {
-			return stub(p, cfgs), nil
+			return stub(p), make([]pipeline.Stats, len(cfgs)), nil
 		}
-		return run(ctx, p, cfgs, maxInsts)
+		return run(ctx, p, cfgs, maxInsts, readers...)
 	}
 	return l
+}
+
+// expectedOutputs is a runMany stub that runs nothing: every pass returns
+// its program's expected output, zero Stats, and no traces to its readers.
+func expectedOutputs(t *testing.T, s *Suite) func(*prog.Program) core.Outcome {
+	t.Helper()
+	expected := make(map[*prog.Program]string)
+	for _, w := range workload.All() {
+		for _, tc := range []string{"base", "fac"} {
+			p, err := s.Program(w, tc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			expected[p] = w.Expected
+		}
+	}
+	return func(p *prog.Program) core.Outcome { return core.Outcome{Output: expected[p]} }
+}
+
+// count returns how many passes the log holds and how many machines they
+// timed in all.
+func (l *passLog) count() (passes, machines int) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for _, ks := range l.machines {
+		passes += len(ks)
+		for _, k := range ks {
+			machines += k
+		}
+	}
+	return passes, machines
 }
 
 // passes returns the machine counts of the passes over one binary.
@@ -63,13 +97,13 @@ func only(runs []Run, names ...string) []Run {
 	return kept
 }
 
-// evaluationPlan is the union of every step's timing runs: what
+// evaluationPlan is the union of every step's runs: what
 // cmd/experiments prefetches when it runs everything.
 func evaluationPlan() []Run {
 	var plan []Run
 	for _, runs := range [][]Run{
-		Figure2Runs(), Table3Runs(), Table4Runs(), Figure6Runs(), Table6Runs(),
-		AblationRuns(), AGIRuns(), PredictorRuns(), SweepRuns(),
+		Table1Runs(), Figure2Runs(), Table3Runs(), Table4Runs(), Figure6Runs(), Table6Runs(),
+		AblationRuns(), LTBRuns(), AGIRuns(), PredictorRuns(), SweepRuns(),
 	} {
 		plan = append(plan, runs...)
 	}
@@ -190,34 +224,11 @@ func TestPrefetchPlanOnePassPerBinary(t *testing.T) {
 // checks the grouping, not the timing.
 func TestEvaluationPlanOnePassPerBinary(t *testing.T) {
 	s := NewSuite()
-	expected := make(map[*prog.Program]string)
-	for _, w := range workload.All() {
-		for _, tc := range []string{"base", "fac"} {
-			p, err := s.Program(w, tc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			expected[p] = w.Expected
-		}
-	}
-	log := logPasses(s, func(p *prog.Program, cfgs []pipeline.Config) []core.Result {
-		res := make([]core.Result, len(cfgs))
-		for i := range res {
-			res[i].Output = expected[p]
-		}
-		return res
-	})
+	log := logPasses(s, expectedOutputs(t, s))
 	if err := s.Prefetch(evaluationPlan()); err != nil {
 		t.Fatal(err)
 	}
-	passes, machines := 0, 0
-	for _, ks := range log.machines {
-		passes += len(ks)
-		for _, k := range ks {
-			machines += k
-		}
-	}
-	if passes != 38 || machines != 532 {
+	if passes, machines := log.count(); passes != 38 || machines != 532 {
 		t.Errorf("%d passes timed %d machines, want 38 passes for 532 runs", passes, machines)
 	}
 	if c := s.Counts(); c.Simulated != 532 {
@@ -225,5 +236,121 @@ func TestEvaluationPlanOnePassPerBinary(t *testing.T) {
 	}
 	if n := len(s.Report("test").Records); n != 380 {
 		t.Errorf("report holds %d records, want 380", n)
+	}
+}
+
+// TestEvaluationOnePassPerBinary: the whole evaluation, as
+// cmd/experiments runs it (every step's runs in one Prefetch, then every
+// step in turn), emulates each binary exactly once. The timing passes
+// measure every functional result on the way, so the functional steps
+// (Table 1, Figure 3, the ablations' failure rates, the LTB comparison)
+// make no pass of their own.
+func TestEvaluationOnePassPerBinary(t *testing.T) {
+	s := NewSuite()
+	log := logPasses(s, expectedOutputs(t, s))
+	if err := s.Prefetch(evaluationPlan()); err != nil {
+		t.Fatal(err)
+	}
+	s.mu.Lock()
+	measured := len(s.funcs)
+	s.mu.Unlock()
+	if measured != 38 {
+		t.Errorf("the timing passes measured %d binaries, want all 38", measured)
+	}
+	steps := []func() error{
+		func() error { _, err := s.Table1(); return err },
+		func() error { _, err := s.Figure2(); return err },
+		func() error { _, err := s.Figure3(); return err },
+		func() error { _, err := s.Table3(); return err },
+		func() error { _, err := s.Table4(); return err },
+		func() error { _, err := s.Figure6(); return err },
+		func() error { _, err := s.Table6(); return err },
+		func() error { _, err := s.Ablations(); return err },
+		func() error { _, err := s.CompareLTB(); return err },
+		func() error { _, err := s.CompareAGI(); return err },
+		func() error { _, err := s.ComparePredictors(); return err },
+		func() error { _, err := s.CacheSweep(); return err },
+	}
+	for _, step := range steps {
+		if err := step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, w := range workload.All() {
+		for _, tc := range []string{"base", "fac"} {
+			if got := log.passes(t, s, w, tc); len(got) != 1 {
+				t.Errorf("%s/%s: %d passes %v, want 1", w.Name, tc, len(got), got)
+			}
+		}
+	}
+	if passes, _ := log.count(); passes != 38 {
+		t.Errorf("%d passes, want 38", passes)
+	}
+}
+
+// TestTable1AloneZeroMachinePasses: Table 1 with nothing timed measures
+// every base binary, the only ones it reads, in a pass with no machines,
+// one pass per binary.
+func TestTable1AloneZeroMachinePasses(t *testing.T) {
+	s := NewSuite()
+	log := logPasses(s, expectedOutputs(t, s))
+	if _, err := s.Table1(); err != nil {
+		t.Fatal(err)
+	}
+	if passes, machines := log.count(); passes != 19 || machines != 0 {
+		t.Errorf("%d passes timed %d machines, want 19 passes of none", passes, machines)
+	}
+	for _, w := range workload.All() {
+		if got := log.passes(t, s, w, "base"); len(got) != 1 {
+			t.Errorf("%s/base: %d passes, want 1", w.Name, len(got))
+		}
+	}
+	if _, err := s.Figure3(); err != nil {
+		t.Fatal(err)
+	}
+	if passes, _ := log.count(); passes != 19 {
+		t.Errorf("Figure 3 after Table 1: %d passes, want still 19", passes)
+	}
+}
+
+// TestFunctionalWaitsForGroup: a Functional call that arrives while a
+// timing group is measuring the same binary waits for that group's pass
+// instead of making a second one.
+func TestFunctionalWaitsForGroup(t *testing.T) {
+	s := NewSuite()
+	w := testWorkload(t, "queens")
+	outputs := expectedOutputs(t, s)
+	entered, release := make(chan struct{}), make(chan struct{})
+	log := logPasses(s, func(p *prog.Program) core.Outcome {
+		entered <- struct{}{}
+		<-release
+		return outputs(p)
+	})
+	grouped := make(chan error)
+	go func() {
+		grouped <- s.Prefetch([]Run{{Workload: w, Toolchain: "base", Machine: MBase32}, {Workload: w, Toolchain: "base"}})
+	}()
+	<-entered
+	measured := make(chan error)
+	go func() {
+		_, err := s.Functional(w, "base")
+		measured <- err
+	}()
+	// A second pass would block in the stub; give Functional time to
+	// reach it before the group's pass is let go.
+	select {
+	case <-entered:
+		t.Fatal("Functional made a pass of its own while the group was measuring the binary")
+	case <-time.After(100 * time.Millisecond):
+	}
+	close(release)
+	if err := <-grouped; err != nil {
+		t.Fatal(err)
+	}
+	if err := <-measured; err != nil {
+		t.Fatal(err)
+	}
+	if got := log.passes(t, s, w, "base"); !reflect.DeepEqual(got, []int{1}) {
+		t.Errorf("passes timed %v machines, want one pass of 1", got)
 	}
 }

@@ -15,7 +15,9 @@ import (
 	"sync"
 
 	"repro/internal/core"
+	"repro/internal/emu"
 	"repro/internal/fac"
+	"repro/internal/ltb"
 	"repro/internal/obs"
 	"repro/internal/pipeline"
 	"repro/internal/profile"
@@ -109,44 +111,50 @@ func MachineConfig(m Machine) (pipeline.Config, error) {
 	return cfg, nil
 }
 
-// FuncResult caches one functional (profiling) run.
+// FuncResult is what the evaluation reads of one binary's functional
+// behaviour, all measured by one reader on the binary's emulation pass
+// (meter).
 type FuncResult struct {
+	// Profile's geometries are Geo16 and Geo32, and for a base binary
+	// also Geo32 with a tag adder and 64-byte blocks (the ablations').
 	Profile *profile.Profile
-	Insts   uint64
 	MemUse  uint64
-	Output  string
+	// Load-address accuracy of 1K-entry load target buffers (Golden &
+	// Mudge) under the last-address and stride policies; base binaries
+	// only, since the LTB comparison replays the baseline code.
+	LTBLast, LTBStride float64
 }
 
-// Suite memoizes program builds, functional profiles, and timing runs
-// across experiments. Every timing run also yields a canonical
+// Suite memoizes program builds, functional measurements, and timing
+// runs across experiments. Every timing run also yields a canonical
 // obs.RunRecord, so any sequence of experiments can be exported as one
 // machine-readable report (cmd/experiments -json).
 type Suite struct {
 	MaxInsts uint64
 
-	// flight collapses concurrent identical builds and profiles onto one
-	// leader. The memo maps alone cannot do this: they are consulted under
-	// mu but filled only after the work completes, so two workers racing
-	// on the same key both used to run it. Timing runs are collapsed the
-	// same way through claims, because Prefetch claims many keys at once.
+	// flight collapses concurrent identical builds onto one leader. The
+	// memo maps alone cannot do this: they are consulted under mu but
+	// filled only after the work completes, so two workers racing on the
+	// same key both used to run it. Runs are collapsed the same way
+	// through claims, because Prefetch claims many keys at once.
 	flight simsvc.Flight
 
-	// runMany simulates one binary on a group of machines. It is
-	// core.RunMany; tests wrap it to count emulation passes.
-	runMany func(ctx context.Context, p *prog.Program, cfgs []pipeline.Config, maxInsts uint64) ([]core.Result, error)
+	// runMany makes one emulation pass over a binary: core.RunMany. Every
+	// pass of the suite goes through it; tests wrap it to count them.
+	runMany func(ctx context.Context, p *prog.Program, cfgs []pipeline.Config, maxInsts uint64, readers ...func([]emu.Trace)) (core.Outcome, []pipeline.Stats, error)
 
 	mu       sync.Mutex
 	programs map[string]*prog.Program
 	funcs    map[string]*FuncResult
 	timings  map[string]pipeline.Stats
 	records  map[string]obs.RunRecord
-	claims   map[string]*claim // timing runs a Prefetch call is executing
+	claims   map[string]*claim // runs a Prefetch call is executing
 	disk     *simsvc.DiskCache
 	remote   *simsvc.Client
 	counts   RunCounts
 }
 
-// claim is a timing run that one Prefetch call is executing. Other
+// claim is a run that one Prefetch call is executing. Other
 // callers that need the same run wait for done instead of repeating it;
 // err is the executing call's error when the run did not complete.
 type claim struct {
@@ -155,7 +163,8 @@ type claim struct {
 }
 
 // Run is one timing run: a workload binary, built by one toolchain, on
-// one machine.
+// one machine. A Run with no Machine is the binary's functional run: it
+// measures the binary's FuncResult and times nothing.
 type Run struct {
 	Workload  workload.Workload
 	Toolchain string
@@ -166,7 +175,11 @@ type Run struct {
 	adhoc *pipeline.Config
 }
 
-func (r Run) key() string { return r.Workload.Name + "|" + r.Toolchain + "|" + string(r.Machine) }
+func (r Run) key() string { return r.binary() + "|" + string(r.Machine) }
+
+func (r Run) binary() string { return r.Workload.Name + "|" + r.Toolchain }
+
+func (r Run) functional() bool { return r.Machine == "" }
 
 func (r Run) config() (pipeline.Config, error) {
 	if r.adhoc != nil {
@@ -292,48 +305,23 @@ func (s *Suite) Program(w workload.Workload, tc string) (*prog.Program, error) {
 	return v.(*prog.Program), nil
 }
 
-// Functional profiles a workload (measuring both block geometries) and
-// validates its output. Concurrent callers for the same key share one run.
+// Functional returns a binary's functional measurements, executing its
+// functional run through Prefetch unless they are memoized already.
 func (s *Suite) Functional(w workload.Workload, tc string) (*FuncResult, error) {
-	key := w.Name + "|" + tc
-	s.mu.Lock()
-	if r, ok := s.funcs[key]; ok {
-		s.mu.Unlock()
-		return r, nil
-	}
-	s.mu.Unlock()
-	v, _, err := s.flight.Do("func|"+key, func() (any, error) {
-		s.mu.Lock()
-		if r, ok := s.funcs[key]; ok {
-			s.mu.Unlock()
-			return r, nil
-		}
-		s.mu.Unlock()
-		p, err := s.Program(w, tc)
-		if err != nil {
-			return nil, err
-		}
-		prof, e, err := profile.Run(p, s.MaxInsts, Geo16, Geo32)
-		if err != nil {
-			return nil, fmt.Errorf("%s/%s: %w", w.Name, tc, err)
-		}
-		if e.Out.String() != w.Expected {
-			return nil, fmt.Errorf("%s/%s: output %q != expected %q", w.Name, tc, e.Out.String(), w.Expected)
-		}
-		r := &FuncResult{Profile: prof, Insts: e.InstCount, MemUse: e.Mem.Footprint(), Output: e.Out.String()}
-		s.mu.Lock()
-		s.funcs[key] = r
-		s.mu.Unlock()
-		return r, nil
-	})
-	if err != nil {
+	r := Run{Workload: w, Toolchain: tc}
+	if err := s.Prefetch([]Run{r}); err != nil {
 		return nil, err
 	}
-	return v.(*FuncResult), nil
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.funcs[r.binary()], nil
 }
 
 // Timing runs a workload on a machine (with caching and output validation).
 func (s *Suite) Timing(w workload.Workload, tc string, m Machine) (pipeline.Stats, error) {
+	if m == "" {
+		return pipeline.Stats{}, fmt.Errorf("experiments: unknown machine %q", m)
+	}
 	return s.timing(Run{Workload: w, Toolchain: tc, Machine: m})
 }
 
@@ -348,14 +336,15 @@ func (s *Suite) timing(r Run) (pipeline.Stats, error) {
 	return s.timings[r.key()], nil
 }
 
-// Prefetch executes timing runs in parallel and memoizes them. Each run
+// Prefetch executes runs in parallel and memoizes them. A timing run
 // comes from the first place that has it: the memo, the persistent disk
 // cache, then, for machines in the machine table, the remote daemon.
 // The runs left over simulate locally, grouped by binary: each
-// (workload, toolchain) pair is emulated once, and its trace stream is
-// timed on all of the group's machines at once (core.RunMany). A run
-// that another Prefetch call is already executing is waited for, not
-// repeated.
+// (workload, toolchain) pair is emulated once, its trace stream is timed
+// on all of the group's machines at once (core.RunMany), and the binary's
+// functional run, when it is among them, reads the same pass. A
+// functional run alone makes a pass with no machines. A run that another
+// Prefetch call is already executing is waited for, not repeated.
 func (s *Suite) Prefetch(runs []Run) error {
 	mine, waits := s.claim(runs)
 	err := s.execute(mine)
@@ -364,7 +353,7 @@ func (s *Suite) Prefetch(runs []Run) error {
 		k := r.key()
 		c := s.claims[k]
 		delete(s.claims, k)
-		if _, ok := s.timings[k]; !ok {
+		if !s.memoized(r) {
 			c.err = err
 		}
 		close(c.done)
@@ -392,7 +381,7 @@ func (s *Suite) claim(runs []Run) (mine []Run, waits []*claim) {
 			continue
 		}
 		seen[k] = true
-		if _, ok := s.timings[k]; ok {
+		if s.memoized(r) {
 			continue
 		}
 		if c, ok := s.claims[k]; ok {
@@ -405,7 +394,17 @@ func (s *Suite) claim(runs []Run) (mine []Run, waits []*claim) {
 	return mine, waits
 }
 
-// execute runs claimed timing runs: first each one's disk-cache lookup
+// memoized reports whether r's result is in the memo. s.mu must be held.
+func (s *Suite) memoized(r Run) bool {
+	if r.functional() {
+		_, ok := s.funcs[r.binary()]
+		return ok
+	}
+	_, ok := s.timings[r.key()]
+	return ok
+}
+
+// execute runs claimed runs: first each timing run's disk-cache lookup
 // and remote execution, then one local simulation pass per binary for
 // the rest.
 func (s *Suite) execute(runs []Run) error {
@@ -414,6 +413,9 @@ func (s *Suite) execute(runs []Run) error {
 	}
 	cfgs := make([]pipeline.Config, len(runs))
 	for i, r := range runs {
+		if r.functional() {
+			continue
+		}
 		cfg, err := r.config()
 		if err != nil {
 			return err
@@ -439,22 +441,21 @@ func (s *Suite) execute(runs []Run) error {
 		}
 	}
 
-	type group struct {
-		runs []Run
-		cfgs []pipeline.Config
-	}
 	var groups []*group
 	byBinary := make(map[string]*group)
 	for i, r := range runs {
 		if served[i] {
 			continue
 		}
-		bin := r.Workload.Name + "|" + r.Toolchain
-		g := byBinary[bin]
+		g := byBinary[r.binary()]
 		if g == nil {
-			g = &group{}
-			byBinary[bin] = g
+			g = &group{w: r.Workload, tc: r.Toolchain}
+			byBinary[r.binary()] = g
 			groups = append(groups, g)
+		}
+		if r.functional() {
+			g.measure = true
+			continue
 		}
 		g.runs = append(g.runs, r)
 		g.cfgs = append(g.cfgs, cfgs[i])
@@ -462,7 +463,7 @@ func (s *Suite) execute(runs []Run) error {
 	jobs := make([]job, len(groups))
 	for i, g := range groups {
 		jobs[i] = func(ctx context.Context) error {
-			return s.simulate(ctx, g.runs, g.cfgs, disk)
+			return s.simulate(ctx, g, disk)
 		}
 	}
 	return runParallel(jobs)
@@ -485,6 +486,9 @@ func (s *Suite) diskKey(disk *simsvc.DiskCache, r Run, cfg pipeline.Config) stri
 // machine, the remote daemon. It reports false when the run must
 // simulate locally.
 func (s *Suite) fetch(ctx context.Context, r Run, cfg pipeline.Config, disk *simsvc.DiskCache, remote *simsvc.Client) (bool, error) {
+	if r.functional() {
+		return false, nil
+	}
 	// Persistent cache: a prior process (this tool or the facd daemon)
 	// may have already simulated this exact configuration.
 	diskKey := s.diskKey(disk, r, cfg)
@@ -510,37 +514,89 @@ func (s *Suite) fetch(ctx context.Context, r Run, cfg pipeline.Config, disk *sim
 	return true, nil
 }
 
-// simulate times one binary on a group of machines in one emulation
-// pass, checks the program's output, and memoizes every run.
-func (s *Suite) simulate(ctx context.Context, runs []Run, cfgs []pipeline.Config, disk *simsvc.DiskCache) error {
-	w, tc := runs[0].Workload, runs[0].Toolchain
+// group is one emulation pass: a binary, the machines that time it, and
+// whether it carries the binary's functional run.
+type group struct {
+	w       workload.Workload
+	tc      string
+	runs    []Run
+	cfgs    []pipeline.Config
+	measure bool
+}
+
+// simulate makes a group's emulation pass, checks the program's output,
+// and memoizes every result. The meter is made here, not with the group,
+// so that its buffers live only as long as the pass.
+func (s *Suite) simulate(ctx context.Context, g *group, disk *simsvc.DiskCache) error {
+	w, tc := g.w, g.tc
+	var readers []func([]emu.Trace)
+	var measured func(core.Outcome) *FuncResult
+	if g.measure {
+		readers, measured = meter(tc)
+	}
 	p, err := s.Program(w, tc)
 	if err != nil {
 		return err
 	}
-	res, err := s.runMany(ctx, p, cfgs, s.MaxInsts)
+	out, stats, err := s.runMany(ctx, p, g.cfgs, s.MaxInsts, readers...)
 	if err != nil {
 		var errs pipeline.RunErrors
 		if errors.As(err, &errs) {
 			for i, e := range errs {
 				if e != nil {
-					return fmt.Errorf("%s/%s/%s: %w", w.Name, tc, runs[i].Machine, e)
+					return fmt.Errorf("%s/%s/%s: %w", w.Name, tc, g.runs[i].Machine, e)
 				}
 			}
 		}
 		return fmt.Errorf("%s/%s: %w", w.Name, tc, err)
 	}
-	if out := res[0].Output; out != w.Expected {
-		return fmt.Errorf("%s/%s: output %q != expected %q", w.Name, tc, out, w.Expected)
+	if out.Output != w.Expected {
+		return fmt.Errorf("%s/%s: output %q != expected %q", w.Name, tc, out.Output, w.Expected)
 	}
-	for i, r := range runs {
-		rec := res[i].Stats.Record(w.Name, w.Class.String(), tc, string(r.Machine))
-		if k := s.diskKey(disk, r, cfgs[i]); k != "" {
+	if g.measure {
+		fr := measured(out)
+		s.mu.Lock()
+		s.funcs[w.Name+"|"+tc] = fr
+		s.mu.Unlock()
+	}
+	for i, r := range g.runs {
+		rec := stats[i].Record(w.Name, w.Class.String(), tc, string(r.Machine))
+		if k := s.diskKey(disk, r, g.cfgs[i]); k != "" {
 			disk.Put(k, rec) // best effort; a write failure only costs a future re-run
 		}
-		s.finish(r, res[i].Stats, rec, func(c *RunCounts) { c.Simulated++ })
+		s.finish(r, stats[i], rec, func(c *RunCounts) { c.Simulated++ })
 	}
 	return nil
+}
+
+// meter returns the reader that measures a tc binary's FuncResult on the
+// binary's emulation pass, and the function that returns the result once
+// the pass has ended.
+func meter(tc string) ([]func([]emu.Trace), func(core.Outcome) *FuncResult) {
+	geoms := []fac.Config{Geo16, Geo32}
+	var ltbs []*ltb.Predictor // last-address, stride
+	if tc == "base" {
+		geoms = append(geoms, fac.Config{BlockBits: 5, SetBits: 14, TagAdder: true}, fac.Config{BlockBits: 6, SetBits: 14})
+		ltbs = []*ltb.Predictor{ltb.New(ltb.Config{Entries: 1024}), ltb.New(ltb.Config{Entries: 1024, Stride: true})}
+	}
+	prof := profile.New(geoms...)
+	read := func(b []emu.Trace) {
+		for _, tr := range b {
+			prof.Note(tr)
+			if tr.Inst.Op.IsLoad() {
+				for _, l := range ltbs {
+					l.Access(tr.PC, tr.EffAddr)
+				}
+			}
+		}
+	}
+	return []func([]emu.Trace){read}, func(out core.Outcome) *FuncResult {
+		fr := &FuncResult{Profile: &prof.P, MemUse: out.MemFootprint}
+		if ltbs != nil {
+			fr.LTBLast, fr.LTBStride = ltbs[0].Accuracy(), ltbs[1].Accuracy()
+		}
+		return fr
+	}
 }
 
 // finish memoizes a completed run and counts where it came from. A
@@ -638,19 +694,4 @@ func runParallel(jobs []job) error {
 		}
 	}
 	return first
-}
-
-// PrefetchFunctional warms the profile cache for both toolchains.
-func (s *Suite) PrefetchFunctional() error {
-	var jobs []job
-	for _, w := range workload.All() {
-		for _, tc := range []string{"base", "fac"} {
-			w, tc := w, tc
-			jobs = append(jobs, func(context.Context) error {
-				_, err := s.Functional(w, tc)
-				return err
-			})
-		}
-	}
-	return runParallel(jobs)
 }

@@ -24,9 +24,12 @@ type Table1Result struct {
 	Rows []Table1Row
 }
 
+// Table1Runs lists the functional runs Table1 reads.
+func Table1Runs() []Run { return grid([][2]string{{"base", ""}}) }
+
 // Table1 profiles the dynamic reference behaviour of the suite.
 func (s *Suite) Table1() (*Table1Result, error) {
-	if err := s.PrefetchFunctional(); err != nil {
+	if err := s.Prefetch(Table1Runs()); err != nil {
 		return nil, err
 	}
 	res := &Table1Result{}
@@ -96,16 +99,13 @@ type Table3Result struct {
 	Rows []Table3Row
 }
 
-// Table3Runs lists the timing runs Table3 reads.
-func Table3Runs() []Run { return grid([][2]string{{"base", string(MBase32)}}) }
+// Table3Runs lists the runs Table3 reads.
+func Table3Runs() []Run { return grid([][2]string{{"base", string(MBase32)}, {"base", ""}}) }
 
 // Table3 measures baseline program statistics and the prediction failure
 // rates of the bare hardware mechanism.
 func (s *Suite) Table3() (*Table3Result, error) {
 	if err := s.Prefetch(Table3Runs()); err != nil {
-		return nil, err
-	}
-	if err := s.PrefetchFunctional(); err != nil {
 		return nil, err
 	}
 	res := &Table3Result{}
@@ -175,17 +175,14 @@ type Table4Result struct {
 	Rows []Table4Row
 }
 
-// Table4Runs lists the timing runs Table4 reads.
+// Table4Runs lists the runs Table4 reads.
 func Table4Runs() []Run {
-	return grid([][2]string{{"base", string(MBase32)}, {"fac", string(MBase32)}})
+	return grid([][2]string{{"base", string(MBase32)}, {"fac", string(MBase32)}, {"base", ""}, {"fac", ""}})
 }
 
 // Table4 measures the impact of the compiler/linker software support.
 func (s *Suite) Table4() (*Table4Result, error) {
 	if err := s.Prefetch(Table4Runs()); err != nil {
-		return nil, err
-	}
-	if err := s.PrefetchFunctional(); err != nil {
 		return nil, err
 	}
 	res := &Table4Result{}
@@ -209,7 +206,7 @@ func (s *Suite) Table4() (*Table4Result, error) {
 		p := opt.Profile
 		res.Rows = append(res.Rows, Table4Row{
 			Name: w.Name, Class: w.Class,
-			InstsChg:  rel(opt.Insts, base.Insts),
+			InstsChg:  rel(p.Insts, base.Profile.Insts),
 			CyclesChg: rel(optT.Cycles, baseT.Cycles),
 			LoadsChg:  rel(p.Loads, base.Profile.Loads),
 			StoresChg: rel(p.Stores, base.Profile.Stores),

@@ -221,12 +221,12 @@ func Run(p *prog.Program, maxInsts uint64, geoms ...fac.Config) (*Profile, *emu.
 	e := emu.New(p)
 	e.MaxInsts = maxInsts
 	pr := New(geoms...)
-	for !e.Halted {
-		tr, err := e.Step()
-		if err != nil {
-			return &pr.P, e, err
+	buf := make([]emu.Trace, 1024)
+	n, err := e.NextBatch(buf)
+	for ; n > 0; n, err = e.NextBatch(buf) {
+		for _, tr := range buf[:n] {
+			pr.Note(tr)
 		}
-		pr.Note(tr)
 	}
-	return &pr.P, e, nil
+	return &pr.P, e, err
 }

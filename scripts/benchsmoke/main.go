@@ -1,70 +1,208 @@
-// Command benchsmoke validates a freshly measured BENCH_pipeline.json
-// against the committed perf-trajectory artifact. CI runs BenchmarkPipeline
-// with -benchtime=1x and BENCH_OUT pointed at a scratch file, then invokes
+// Command benchsmoke is CI's throughput gate: a same-host A/B of
+// BenchmarkPipeline between the working tree and a base revision.
 //
-//	go run ./scripts/benchsmoke -ref BENCH_pipeline.json -new <scratch>
+//	go run ./scripts/benchsmoke -ref BENCH_pipeline.json
 //
-// which fails when the fresh report is malformed (wrong schema, no
-// records, missing throughput metric) or when measured simulator
-// throughput regressed more than -max-regression (default 20%) below the
-// committed value. The committed artifact is only ever regenerated
-// deliberately (see docs/PERFORMANCE.md); this gate catches accidental
-// slowdowns and schema breakage without touching it.
+// It exports the base revision with git archive (no network), builds the
+// root package's test binary there and in the working tree, and runs
+// five alternating base/head pairs of BenchmarkPipeline -benchtime 1x
+// samples, each writing its report to a temporary file through BENCH_OUT.
+// It fails when
+//
+//   - a head report is malformed (wrong schema, no records, missing
+//     throughput metric);
+//   - a head report's simulated timing differs from the committed
+//     artifact in any field: throughput work must never change results;
+//   - the median head/base mcycles_per_sec ratio over the pairs is more
+//     than -max-regression (default 20%) below 1.
+//
+// The base is HEAD when the working tree has uncommitted changes;
+// otherwise HEAD~1 on main, or the merge-base with main on any other
+// branch. Both sides run on the same host in the same minute, so the gate
+// compares code, not machines; the committed artifact is only the
+// reference for simulated timing.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
+	"os/exec"
+	"path/filepath"
+	"sort"
+	"strings"
 
 	"repro/internal/obs"
 )
 
+// pairs is the number of alternating base/head sample pairs.
+const pairs = 5
+
 func main() {
-	ref := flag.String("ref", "BENCH_pipeline.json", "committed perf-trajectory artifact")
-	fresh := flag.String("new", "", "freshly measured report (required)")
-	maxReg := flag.Float64("max-regression", 0.20, "maximum tolerated relative throughput drop")
+	ref := flag.String("ref", "BENCH_pipeline.json", "committed perf-trajectory artifact: the simulated timing every head sample must match")
+	maxReg := flag.Float64("max-regression", 0.20, "maximum tolerated drop of the median head/base throughput ratio")
 	flag.Parse()
-	if *fresh == "" {
-		fatal(fmt.Errorf("-new is required"))
+	if err := smoke(*ref, *maxReg); err != nil {
+		fmt.Fprintln(os.Stderr, "benchsmoke:", err)
+		os.Exit(1)
+	}
+}
+
+func smoke(ref string, maxReg float64) error {
+	refRep, err := load(ref)
+	if err != nil {
+		return fmt.Errorf("ref %s: %w", ref, err)
+	}
+	base, err := baseRevision("")
+	if err != nil {
+		return err
+	}
+	tmp, err := os.MkdirTemp("", "benchsmoke")
+	if err != nil {
+		return err
+	}
+	defer os.RemoveAll(tmp)
+
+	baseBin, headBin := filepath.Join(tmp, "base.test"), filepath.Join(tmp, "head.test")
+	baseTree := filepath.Join(tmp, "base")
+	if err := os.Mkdir(baseTree, 0o755); err != nil {
+		return err
+	}
+	if err := run("", nil, "sh", "-c", `git archive "$1" | tar -x -C "$2"`, "sh", base, baseTree); err != nil {
+		return fmt.Errorf("export %s: %w", base, err)
+	}
+	if err := run(baseTree, nil, "go", "test", "-c", "-o", baseBin, "."); err != nil {
+		return fmt.Errorf("build base %s: %w", base, err)
+	}
+	if err := run("", nil, "go", "test", "-c", "-o", headBin, "."); err != nil {
+		return fmt.Errorf("build head: %w", err)
 	}
 
-	refRep, err := load(*ref)
-	if err != nil {
-		fatal(fmt.Errorf("ref %s: %w", *ref, err))
-	}
-	newRep, err := load(*fresh)
-	if err != nil {
-		fatal(fmt.Errorf("new %s: %w", *fresh, err))
-	}
-
-	refTp, err := throughput(refRep)
-	if err != nil {
-		fatal(fmt.Errorf("ref %s: %w", *ref, err))
-	}
-	newTp, err := throughput(newRep)
-	if err != nil {
-		fatal(fmt.Errorf("new %s: %w", *fresh, err))
-	}
-
-	// The simulated timing in the fresh records must match the committed
-	// ones exactly: throughput work must never change simulator results.
-	// (obs.Diff treats delta >= tolerance as a finding, so an exact-match
-	// gate needs an epsilon above zero.)
-	if diffs := obs.Diff(refRep, newRep, 1e-12); len(diffs) > 0 {
-		for _, d := range diffs {
-			fmt.Fprintln(os.Stderr, "benchsmoke:", d)
+	// sample runs one BenchmarkPipeline iteration and returns its report
+	// and throughput.
+	sample := func(bin, name string) (*obs.Report, float64, error) {
+		out := filepath.Join(tmp, name+".json")
+		err := run(tmp, []string{"BENCH_OUT=" + out}, bin,
+			"-test.run", "^$", "-test.bench", "^BenchmarkPipeline$", "-test.benchtime", "1x", "-test.timeout", "10m")
+		if err != nil {
+			return nil, 0, fmt.Errorf("%s: %w", name, err)
 		}
-		fatal(fmt.Errorf("%d simulated-timing difference(s) vs %s", len(diffs), *ref))
+		rep, err := load(out)
+		if err != nil {
+			return nil, 0, fmt.Errorf("%s: %w", name, err)
+		}
+		tp, err := throughput(rep)
+		if err != nil {
+			return nil, 0, fmt.Errorf("%s: %w", name, err)
+		}
+		return rep, tp, nil
+	}
+	ratios := make([]float64, pairs)
+	for i := range ratios {
+		var baseTp, headTp float64
+		var headRep *obs.Report
+		// Alternate which side goes first, so a drift in host speed
+		// during the run favours neither.
+		for j := range 2 {
+			if (i+j)%2 == 0 {
+				_, baseTp, err = sample(baseBin, fmt.Sprintf("base%d", i))
+			} else {
+				headRep, headTp, err = sample(headBin, fmt.Sprintf("head%d", i))
+			}
+			if err != nil {
+				return err
+			}
+		}
+		// The simulated timing must match the committed records exactly.
+		// (obs.Diff treats delta >= tolerance as a finding, so an
+		// exact-match gate needs an epsilon above zero.)
+		if diffs := obs.Diff(refRep, headRep, 1e-12); len(diffs) > 0 {
+			for _, d := range diffs {
+				fmt.Fprintln(os.Stderr, "benchsmoke:", d)
+			}
+			return fmt.Errorf("%d simulated-timing difference(s) vs %s", len(diffs), ref)
+		}
+		ratios[i] = headTp / baseTp
+		fmt.Printf("benchsmoke: pair %d: base %.2f, head %.2f Mcycles/s (head/base %.3f)\n", i+1, baseTp, headTp, ratios[i])
 	}
 
-	drop := (refTp - newTp) / refTp
-	fmt.Printf("benchsmoke: throughput %.2f Mcycles/s (committed %.2f, change %+.1f%%)\n",
-		newTp, refTp, -100*drop)
-	if drop > *maxReg {
-		fatal(fmt.Errorf("throughput regressed %.1f%% (max %.0f%%): %.2f -> %.2f Mcycles/s",
-			100*drop, 100**maxReg, refTp, newTp))
+	med := median(ratios)
+	fmt.Printf("benchsmoke: median head/base throughput %.3f over %d pairs vs %s (bound %.2f)\n",
+		med, len(ratios), base, 1-maxReg)
+	if med < 1-maxReg {
+		return fmt.Errorf("throughput regressed %.1f%% vs %s (max %.0f%%)", 100*(1-med), base, 100*maxReg)
 	}
+	return nil
+}
+
+// baseRevision is the revision the working tree in dir ("" for the
+// current directory) is compared against: HEAD when the tree has
+// uncommitted changes, else HEAD~1 when main is checked out, else the
+// merge-base of HEAD with main. It fails when a clean tree's base is
+// HEAD itself (a detached HEAD on main's history, say), since the gate
+// would then compare the code with itself.
+func baseRevision(dir string) (string, error) {
+	head, err := git(dir, "rev-parse", "HEAD")
+	if err != nil {
+		return "", err
+	}
+	_, err = git(dir, "diff", "--quiet", "HEAD")
+	var exit *exec.ExitError
+	switch {
+	case errors.As(err, &exit) && exit.ExitCode() == 1:
+		return head, nil // the tree has uncommitted changes
+	case err != nil:
+		return "", err
+	}
+	branch, err := git(dir, "rev-parse", "--abbrev-ref", "HEAD")
+	if err != nil {
+		return "", err
+	}
+	var base string
+	if branch == "main" {
+		base, err = git(dir, "rev-parse", "HEAD~1")
+	} else {
+		base, err = git(dir, "merge-base", "HEAD", "main")
+	}
+	if err != nil {
+		return "", err
+	}
+	if base == head {
+		return "", fmt.Errorf("the working tree is HEAD %s, and so is the base: nothing to compare", head)
+	}
+	return base, nil
+}
+
+func git(dir string, args ...string) (string, error) {
+	cmd := exec.Command("git", args...)
+	cmd.Dir = dir
+	out, err := cmd.Output()
+	if err != nil {
+		return "", fmt.Errorf("git %s: %w", strings.Join(args, " "), err)
+	}
+	return strings.TrimSpace(string(out)), nil
+}
+
+// run runs a command in dir ("" for the current one) with extra
+// environment. Its output is shown only when it fails.
+func run(dir string, env []string, name string, args ...string) error {
+	cmd := exec.Command(name, args...)
+	cmd.Dir = dir
+	cmd.Env = append(os.Environ(), env...)
+	if out, err := cmd.CombinedOutput(); err != nil {
+		return fmt.Errorf("%w\n%s", err, out)
+	}
+	return nil
+}
+
+func median(xs []float64) float64 {
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	if n := len(s); n%2 == 0 {
+		return (s[n/2-1] + s[n/2]) / 2
+	}
+	return s[len(s)/2]
 }
 
 func load(path string) (*obs.Report, error) {
@@ -88,9 +226,4 @@ func throughput(r *obs.Report) (float64, error) {
 		return 0, fmt.Errorf("missing or non-positive mcycles_per_sec metric")
 	}
 	return tp, nil
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "benchsmoke:", err)
-	os.Exit(1)
 }

@@ -40,12 +40,20 @@
 #                                    fleet soak with a worker SIGKILL, a
 #                                    byte-identical report and the
 #                                    coordinator's drain identity)
-#   bench smoke                ~1s  (one BenchmarkPipeline iteration with
-#                                    BENCH_OUT redirected to a scratch file;
-#                                    scripts/benchsmoke checks the report
-#                                    schema, exact simulated-timing match vs
-#                                    the committed BENCH_pipeline.json, and
-#                                    <=20% throughput regression)
+#   bench smoke               ~10s  (scripts/benchsmoke: a same-host A/B.
+#                                    It exports the base revision (HEAD
+#                                    when the tree has uncommitted
+#                                    changes, else HEAD~1 on main or the
+#                                    merge-base with main) with git
+#                                    archive, builds both test binaries,
+#                                    and runs 5 alternating base/head
+#                                    BenchmarkPipeline -benchtime 1x
+#                                    pairs. Each head report must have
+#                                    the right schema and match the
+#                                    committed BENCH_pipeline.json's
+#                                    simulated timing exactly; the median
+#                                    head/base Mcycles/s ratio must be at
+#                                    least 0.8, i.e. <=20% regression)
 #
 # The fuzz smoke stage runs each differential fuzz target briefly against
 # its committed seed corpus plus a few seconds of mutation, so a crasher
@@ -109,9 +117,6 @@ echo "== facd harness =="
 go run ./cmd/facload -duration 5s
 
 echo "== bench smoke =="
-bench_out=$(mktemp)
-trap 'rm -f "$bench_out"' EXIT
-BENCH_OUT="$bench_out" go test -run '^$' -bench '^BenchmarkPipeline$' -benchtime 1x .
-go run ./scripts/benchsmoke -ref BENCH_pipeline.json -new "$bench_out"
+go run ./scripts/benchsmoke -ref BENCH_pipeline.json
 
 echo "CI OK"
