@@ -231,6 +231,48 @@ func BenchmarkPipeline(b *testing.B) {
 	}
 }
 
+// BenchmarkPipelineGroup measures the timing model where the evaluation
+// runs it: one emulation pass over compress timed on every named machine
+// at once (core.RunMany), reporting the group's aggregate simulated cycles
+// per second. It writes no artifact; scripts/benchsmoke gates it as a
+// same-host A/B beside BenchmarkPipeline.
+func BenchmarkPipelineGroup(b *testing.B) {
+	w, err := workload.ByName("compress")
+	if err != nil {
+		b.Fatal(err)
+	}
+	p, err := workload.Build(w, workload.BaseToolchain())
+	if err != nil {
+		b.Fatal(err)
+	}
+	var cfgs []pipeline.Config
+	for _, m := range []experiments.Machine{
+		experiments.MBase32, experiments.MBase16, experiments.MOneCycle, experiments.MPerfect,
+		experiments.MOnePerfect, experiments.MFAC16, experiments.MFAC32, experiments.MFAC16RR,
+		experiments.MFAC32RR, experiments.MFAC32Tag, experiments.MFAC32SB4, experiments.MFAC32SB64,
+		experiments.MFAC32MSHR1, experiments.MAGI, experiments.MPCAX, experiments.MStride,
+		experiments.MSelective,
+	} {
+		cfg, err := experiments.MachineConfig(m)
+		if err != nil {
+			b.Fatal(err)
+		}
+		cfgs = append(cfgs, cfg)
+	}
+	var cycles uint64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, stats, err := core.RunMany(nil, p, cfgs, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, st := range stats {
+			cycles += st.Cycles
+		}
+	}
+	b.ReportMetric(float64(cycles)/b.Elapsed().Seconds()/1e6, "Mcycles/s")
+}
+
 // BenchmarkEmulator measures raw functional simulation speed
 // (instructions per second) on the compress workload.
 func BenchmarkEmulator(b *testing.B) {

@@ -34,6 +34,18 @@ func TestPredecodeMatchesInst(t *testing.T) {
 			if got := pre.Defs[:pre.NDefs]; !preEqualU8(got, wantDefs) {
 				t.Errorf("%v %+v: Pre defs %v, Inst.Defs %v", op, rc, got, wantDefs)
 			}
+			// The timing model reads all three Uses slots: an unused one
+			// must name $zero, which no instruction defines.
+			for _, u := range pre.Uses[pre.NUses:] {
+				if u != UInt(Zero) {
+					t.Errorf("%v %+v: unused Pre use slot holds %d, not $zero", op, rc, u)
+				}
+			}
+			for _, d := range pre.Defs[:pre.NDefs] {
+				if d == UInt(Zero) {
+					t.Errorf("%v %+v: Pre defines $zero", op, rc)
+				}
+			}
 
 			if pre.Class != op.Class() {
 				t.Errorf("%v: Pre class %v, Op class %v", op, pre.Class, op.Class())

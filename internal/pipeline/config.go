@@ -160,6 +160,14 @@ func (c Config) Validate() error {
 	if c.FetchWidth <= 0 || c.IssueWidth <= 0 {
 		return fmt.Errorf("pipeline: non-positive widths")
 	}
+	if q := 2*c.FetchWidth + c.IssueWidth; q > fanSlotLen {
+		// The issue queue is a window onto the trace ring, so it must fit in
+		// one ring slot.
+		return fmt.Errorf("pipeline: issue queue of %d (2*FetchWidth+IssueWidth) exceeds %d", q, fanSlotLen)
+	}
+	if n := c.BTBEntries; n <= 0 || n&(n-1) != 0 {
+		return fmt.Errorf("pipeline: BTBEntries %d is not a positive power of two", n)
+	}
 	if c.IntALUs <= 0 || c.LoadStore <= 0 || c.FPAdders <= 0 {
 		return fmt.Errorf("pipeline: non-positive unit counts")
 	}

@@ -4,8 +4,8 @@ package pipeline
 import (
 	"context"
 	"fmt"
+	"slices"
 
-	"repro/internal/bpred"
 	"repro/internal/cache"
 	"repro/internal/emu"
 	"repro/internal/fac"
@@ -32,29 +32,34 @@ type sim struct {
 	cfg     Config
 	pred    predict.Predictor // nil = no address prediction
 	opBased bool              // pred.OperandBased() (hoisted off the hot path)
-	fan     fanConsumer       // the stream: batches are read in place from its ring
 	ctx     context.Context   // nil = cancellation disabled
 
 	icache *cache.Cache
 	dcache *cache.Cache
-	btb    *bpred.BTB
 
 	stats Stats
 	sink  obs.Sink // nil = observability disabled (no event allocations)
 
-	// Fetch: the ring slot being read (batch[batchPos:batchLen] is unconsumed).
-	nextFetchCycle uint64
-	batch          []emu.Trace
-	batchPos       int
-	batchLen       int
-	srcDone        bool
+	// The stream, read in place from the ring's slots: batch b is in
+	// view[b&(fanSlots-1)] (a two-slot ring appears twice). The ring has
+	// delivered traces [0, avail) in batches [0, taken); srcDone is set
+	// once fetch has found the stream's end.
+	ring    *fanRing
+	ringID  int
+	view    [fanSlots]slotView
+	avail   int
+	taken   int
+	srcDone bool
 
-	// Issue queue (fetched, not yet issued), in program order. A fixed
-	// ring: capacity is the fetch guard's bound (2*FetchWidth+IssueWidth),
-	// so the steady state allocates nothing.
-	pending  []qent
-	pendHead int
-	pendLen  int
+	// The issue queue is the window [issueIdx, fetchIdx) of the stream:
+	// fetched, not yet issued, in program order. Its capacity is the fetch
+	// guard's bound (2*FetchWidth+IssueWidth). earliest[i&qMask] is the
+	// cycle trace i can first issue (its fetch group's ready cycle + 2:
+	// IF, ID, then EX), a power-of-two ring at least that large.
+	issueIdx, fetchIdx int
+	earliest           []uint64
+	qMask              int
+	nextFetchCycle     uint64
 
 	// Scoreboard: cycle at which each unified register can be sourced.
 	regReady [isa.NumURegs]uint64
@@ -83,18 +88,14 @@ type sim struct {
 	lastEvent    uint64 // completion time of the latest activity seen
 }
 
-// qent is one issue-queue entry: the pre-decoded instruction plus the few
-// trace fields the issue stage consumes.
-type qent struct {
-	pc       uint32
-	effAddr  uint32 // architectural effective address (memory ops)
-	base     uint32 // base register value at execute time
-	offset   uint32 // offset value (constant or index register)
-	memVal   uint32 // transferred value of an integer access (hasVal)
-	isRegOff bool   // offset came from the register file
-	hasVal   bool   // memVal valid
-	pre      isa.Pre
-	earliest uint64 // fetchCycle + 2 (IF, ID, then EX)
+// slotView is one ring slot as a machine reads it: the traces, their
+// pre-decodes and straight-line spans, and its own BTB size's branch
+// outcomes (see fanSlot).
+type slotView struct {
+	trs  *[fanSlotLen]emu.Trace
+	pre  *[fanSlotLen]*isa.Pre
+	span *[fanSlotLen]uint16
+	br   *[fanSlotLen]uint8
 }
 
 type storeEnt struct {
@@ -102,27 +103,12 @@ type storeEnt struct {
 	entered uint64
 }
 
-// Issue-queue ring operations.
-
-func (s *sim) pendHeadEnt() *qent { return &s.pending[s.pendHead] }
-
-// pendSlot claims the next free ring slot and returns it for in-place
-// construction, avoiding a queue-entry copy per fetched instruction.
-func (s *sim) pendSlot() *qent {
-	i := s.pendHead + s.pendLen
-	if i >= len(s.pending) {
-		i -= len(s.pending)
-	}
-	s.pendLen++
-	return &s.pending[i]
-}
-
-func (s *sim) pendPop() {
-	s.pendHead++
-	if s.pendHead == len(s.pending) {
-		s.pendHead = 0
-	}
-	s.pendLen--
+// at returns trace i of the stream and its pre-decode; i must lie in a
+// batch the machine holds.
+func (s *sim) at(i int) (*emu.Trace, *isa.Pre) {
+	v := &s.view[(i>>fanSlotBits)&(fanSlots-1)]
+	p := i & (fanSlotLen - 1)
+	return &v.trs[p], v.pre[p]
 }
 
 // Store-buffer ring operations.
@@ -165,18 +151,38 @@ func RunCtx(ctx context.Context, cfg Config, src BatchSource, sink obs.Sink) (St
 	if err != nil {
 		return Stats{}, err
 	}
-	s.fan = fanConsumer{ring: newFanRing(src, 1)}
+	s.attach(newFanRing(src, 1, []int{cfg.BTBEntries}), 0)
 	return s.simulate()
 }
 
+// attach makes the simulator consumer id of ring r, which must carry a
+// BTB of the machine's size.
+func (s *sim) attach(r *fanRing, id int) {
+	s.ring, s.ringID = r, id
+	b := slices.Index(r.btbEntries, s.cfg.BTBEntries)
+	for k := range s.view {
+		sl := &r.slots[k%r.size]
+		s.view[k] = slotView{
+			trs:  (*[fanSlotLen]emu.Trace)(sl.trs),
+			pre:  (*[fanSlotLen]*isa.Pre)(sl.pre),
+			span: (*[fanSlotLen]uint16)(sl.span),
+			br:   (*[fanSlotLen]uint8)(sl.br[b*fanSlotLen:]),
+		}
+	}
+}
+
 // newSim validates cfg and builds a simulator with no trace source
-// attached: the caller attaches a ring consumer.
+// attached: the caller attaches it to a ring.
 func newSim(ctx context.Context, cfg Config, sink obs.Sink) (*sim, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	s := &sim{cfg: cfg, ctx: ctx, btb: bpred.New(cfg.BTBEntries), sink: sink}
-	s.pending = make([]qent, 2*cfg.FetchWidth+cfg.IssueWidth)
+	s := &sim{cfg: cfg, ctx: ctx, sink: sink}
+	q := 1
+	for q < 2*cfg.FetchWidth+cfg.IssueWidth {
+		q <<= 1
+	}
+	s.earliest, s.qMask = make([]uint64, q), q-1
 	s.storeBuf = make([]storeEnt, cfg.StoreBufferEntries)
 	if name := cfg.Predictor; name != "" {
 		static := cfg.StaticTable
@@ -229,7 +235,7 @@ func (s *sim) run() error {
 	lastProgress := uint64(0)
 	prevInsts, prevBuf := uint64(0), 0
 	for {
-		if s.srcDone && s.batchPos >= s.batchLen && s.pendLen == 0 && s.sbLen == 0 {
+		if s.srcDone && s.issueIdx == s.fetchIdx && s.sbLen == 0 {
 			break
 		}
 		if s.ctx != nil && now >= s.nextCtxCheck {
@@ -246,10 +252,7 @@ func (s *sim) run() error {
 		if err := s.fetch(now); err != nil {
 			return err
 		}
-		issued, cause, err := s.issue(now)
-		if err != nil {
-			return err
-		}
+		issued, cause := s.issue(now)
 		if issued > 0 {
 			s.stats.IssueActiveCycles++
 		} else {
@@ -266,7 +269,7 @@ func (s *sim) run() error {
 		}
 		if now-lastProgress > 1_000_000 {
 			return fmt.Errorf("pipeline: no progress for 1M cycles at cycle %d (%d pending, %d store buffer)",
-				now, s.pendLen, s.sbLen)
+				now, s.fetchIdx-s.issueIdx, s.sbLen)
 		}
 
 		// Stall fast-forwarding: when this cycle issued nothing and the
@@ -309,31 +312,31 @@ func (s *sim) ffWake(now uint64) uint64 {
 	// Fetch next acts at nextFetchCycle — unless it is blocked on a full
 	// issue queue, in which case it cannot act before issue drains the
 	// queue (covered by the head examination below).
-	if !s.srcDone || s.batchPos < s.batchLen {
-		if s.pendLen+s.cfg.FetchWidth <= 2*s.cfg.FetchWidth+s.cfg.IssueWidth {
+	if !s.srcDone {
+		if s.fetchIdx-s.issueIdx+s.cfg.FetchWidth <= 2*s.cfg.FetchWidth+s.cfg.IssueWidth {
 			if s.nextFetchCycle <= now {
 				return 0 // fetch is active; no quiescent window
 			}
 			wake = s.nextFetchCycle
 		}
 	}
-	if s.pendLen > 0 {
-		q := s.pendHeadEnt()
-		if q.earliest > now {
-			if q.earliest < wake {
-				wake = q.earliest
+	if s.issueIdx < s.fetchIdx {
+		_, pre := s.at(s.issueIdx)
+		if earliest := s.earliest[s.issueIdx&s.qMask]; earliest > now {
+			if earliest < wake {
+				wake = earliest
 			}
 		} else {
 			// Mirror the issue stage's head examination exactly.
 			off := uint64(0)
 			if s.cfg.AGI {
-				switch q.pre.Class {
+				switch pre.Class {
 				case isa.ClassIntALU, isa.ClassBranch, isa.ClassJump, isa.ClassSyscall:
 					off = 1
 				}
 			}
 			opWake := uint64(0)
-			for _, u := range q.pre.Uses[:q.pre.NUses] {
+			for _, u := range pre.Uses { // unused slots hold $zero, ready at 0
 				if r := s.regReady[u]; r > now+off && r-off > opWake {
 					opWake = r - off
 				}
@@ -348,7 +351,7 @@ func (s *sim) ffWake(now uint64) uint64 {
 				// (cache port, store buffer slot) can clear within a
 				// cycle and is not fast-forwarded.
 				var free uint64
-				switch q.pre.Class {
+				switch pre.Class {
 				case isa.ClassIntMul, isa.ClassIntDiv:
 					free = s.intMDFree
 				case isa.ClassFPMul, isa.ClassFPDiv:
@@ -377,121 +380,111 @@ func (s *sim) note(cycle uint64) {
 	}
 }
 
-// peekTrace exposes the next dynamic instruction without consuming it.
-// The returned pointer is valid until the next peekTrace call that
-// refills the batch; nil means the stream has ended. That refill is also
-// what releases the previous ring slot.
-func (s *sim) peekTrace() (*emu.Trace, error) {
-	if s.batchPos < s.batchLen {
-		return &s.batch[s.batchPos], nil
+// more makes trace fetchIdx readable and reports false at the end of the
+// stream. Once the machine has fetched all it holds, it takes the next
+// batch from the ring, which releases the batches wholly before the issue
+// queue's head.
+func (s *sim) more() (bool, error) {
+	if s.fetchIdx < s.avail {
+		return true, nil
 	}
-	if s.srcDone {
-		return nil, nil
-	}
-	b, err := s.fan.next()
-	if err != nil {
-		return nil, err
-	}
-	if len(b) == 0 {
-		s.srcDone = true
-		return nil, nil
-	}
-	s.batch, s.batchPos, s.batchLen = b, 0, len(b)
-	return &s.batch[0], nil
+	return s.takeBatch()
 }
 
-func (s *sim) takeTrace() { s.batchPos++ }
+func (s *sim) takeBatch() (bool, error) {
+	if s.srcDone {
+		return false, nil
+	}
+	n, err := s.ring.take(s.ringID, s.taken, s.issueIdx>>fanSlotBits)
+	if err != nil {
+		return false, fmt.Errorf("pipeline: stream failed after %d traces: %w", s.avail, err)
+	}
+	if n == 0 {
+		s.srcDone = true
+		return false, nil
+	}
+	s.avail += n
+	s.taken++
+	return true, nil
+}
 
 // fetch models the IF stage: up to FetchWidth contiguous instructions per
 // cycle through the I-cache, ending early at predicted- or actually-taken
-// control transfers, charging the BTB misprediction penalty.
+// control transfers, charging the BTB misprediction penalty. It takes a
+// run of straight-line code (the ring's span) at a time, and a control
+// transfer alone, with the BTB outcome the ring computed for it.
 func (s *sim) fetch(now uint64) error {
 	if now < s.nextFetchCycle {
 		return nil
 	}
-	if s.pendLen+s.cfg.FetchWidth > 2*s.cfg.FetchWidth+s.cfg.IssueWidth {
+	if s.fetchIdx-s.issueIdx+s.cfg.FetchWidth > 2*s.cfg.FetchWidth+s.cfg.IssueWidth {
 		return nil // issue queue full; fetch stalls
 	}
-	first, err := s.peekTrace()
-	if err != nil {
+	if ok, err := s.more(); !ok {
 		return err
 	}
-	if first == nil {
-		return nil
-	}
+	first, _ := s.at(s.fetchIdx)
 	firstPC := first.PC
 
-	// I-cache access for the group's first block (and, if the group
-	// crosses, its successor block, fetched the same cycle).
+	// The I-cache is accessed for the group's first block, and then once
+	// for every instruction of the group outside that block, all in the
+	// same cycle. (A perfect I-cache leaves the block mask 0, so nothing
+	// lies outside.)
 	groupReady := now
+	var blockMask uint32
 	if s.icache != nil {
-		res := s.icache.Access(firstPC, false, now)
-		if res.Ready > groupReady {
+		if res := s.icache.Access(firstPC, false, now); res.Ready > groupReady {
 			groupReady = res.Ready
 		}
-	}
-	blockMask := uint32(0)
-	if s.icache != nil {
 		blockMask = ^uint32(s.cfg.ICache.BlockSize - 1)
 	}
+	firstBlock := firstPC & blockMask
 
 	fetched := 0
-	expectPC := firstPC
+	pc := firstPC
 	redirected := false
 	for fetched < s.cfg.FetchWidth {
-		tr, err := s.peekTrace()
+		ok, err := s.more()
 		if err != nil {
 			return err
 		}
-		if tr == nil {
+		if !ok {
 			break
 		}
-		if tr.PC != expectPC {
+		v := &s.view[(s.fetchIdx>>fanSlotBits)&(fanSlots-1)]
+		p := s.fetchIdx & (fanSlotLen - 1)
+		if v.trs[p].PC != pc {
 			break // discontiguous (should not happen: redirects end groups)
 		}
-		if s.icache != nil && tr.PC&blockMask != firstPC&blockMask {
-			res := s.icache.Access(tr.PC, false, now)
-			if res.Ready > groupReady {
-				groupReady = res.Ready
+		span := int(v.span[p])
+		n := min(max(span, 1), s.cfg.FetchWidth-fetched)
+		for end := s.fetchIdx + n; s.fetchIdx < end; s.fetchIdx++ {
+			if pc&blockMask != firstBlock {
+				if res := s.icache.Access(pc, false, now); res.Ready > groupReady {
+					groupReady = res.Ready
+				}
 			}
+			s.earliest[s.fetchIdx&s.qMask] = groupReady + 2
+			pc += isa.InstBytes
 		}
-		s.takeTrace()
-		q := s.pendSlot()
-		q.pc = tr.PC
-		q.effAddr = tr.EffAddr
-		q.base = tr.Base
-		q.offset = tr.Offset
-		q.isRegOff = tr.IsRegOffset
-		q.memVal, q.hasVal = tr.MemVal, tr.HasMemVal
-		q.earliest = groupReady + 2
-		if tr.Pre != nil {
-			q.pre = *tr.Pre // the producer's pre-decode table (the common case)
-		} else {
-			q.pre = isa.Predecode(tr.Inst) // hand-built trace: decode locally
+		fetched += n
+		if span > 0 {
+			continue
 		}
-		fetched++
-		expectPC = tr.PC + isa.InstBytes
-
-		if q.pre.IsControl() {
-			taken := tr.NextPC != tr.PC+isa.InstBytes
-			predTaken, _ := s.btb.Predict(tr.PC)
-			mis := s.btb.Update(tr.PC, taken, tr.NextPC)
-			s.stats.BranchLookups++
-			if mis {
-				s.stats.BranchMispredicts++
-				s.nextFetchCycle = groupReady + 1 + uint64(s.cfg.MispredictPenalty)
-				redirected = true
-				break
-			}
-			if taken || predTaken {
-				// Correctly predicted taken: fetch resumes at the target
-				// next cycle.
-				s.nextFetchCycle = groupReady + 1
-				redirected = true
-				break
-			}
-			// Correctly predicted not-taken: the group continues.
+		s.stats.BranchLookups++
+		if o := v.br[p]; o&brMispredict != 0 {
+			s.stats.BranchMispredicts++
+			s.nextFetchCycle = groupReady + 1 + uint64(s.cfg.MispredictPenalty)
+			redirected = true
+			break
+		} else if o&brRedirect != 0 {
+			// Correctly predicted taken: fetch resumes at the target next
+			// cycle.
+			s.nextFetchCycle = groupReady + 1
+			redirected = true
+			break
 		}
+		// Correctly predicted not-taken: the group continues.
 	}
 	if !redirected {
 		s.nextFetchCycle = groupReady + 1
@@ -539,19 +532,19 @@ func (s *sim) dcacheAccess(addr uint32, write bool, c uint64) uint64 {
 // the queue per cycle, blocking on operand readiness, functional units, and
 // memory structural hazards. It returns the number of instructions issued
 // and, for zero-issue cycles, the stall cause blocking the queue head.
-func (s *sim) issue(now uint64) (int, obs.StallCause, error) {
+func (s *sim) issue(now uint64) (int, obs.StallCause) {
 	issued := 0
 	memIssued := 0
 	aluUsed := 0
 	fpAddUsed := 0
 	cause := obs.StallFrontend
 
-	if s.pendLen == 0 && s.srcDone && s.batchPos >= s.batchLen {
+	if s.issueIdx == s.fetchIdx && s.srcDone {
 		cause = obs.StallDrain // program done; store buffer still draining
 	}
-	for issued < s.cfg.IssueWidth && s.pendLen > 0 {
-		q := s.pendHeadEnt()
-		if q.earliest > now {
+	for issued < s.cfg.IssueWidth && s.issueIdx < s.fetchIdx {
+		tr, pre := s.at(s.issueIdx)
+		if s.earliest[s.issueIdx&s.qMask] > now {
 			cause = obs.StallFrontend // head not yet through IF/ID
 			break
 		}
@@ -563,28 +556,23 @@ func (s *sim) issue(now uint64) (int, obs.StallCause, error) {
 		needAt := now
 		aluShift := uint64(0)
 		if s.cfg.AGI {
-			switch q.pre.Class {
+			switch pre.Class {
 			case isa.ClassIntALU, isa.ClassBranch, isa.ClassJump, isa.ClassSyscall:
 				needAt = now + 1
 				aluShift = 1
 			}
 		}
 
-		// In-order issue: all source operands must be ready.
-		ready := true
-		for _, u := range q.pre.Uses[:q.pre.NUses] {
-			if s.regReady[u] > needAt {
-				ready = false
-				break
-			}
-		}
-		if !ready {
+		// In-order issue: all source operands must be ready. Unused Uses
+		// slots hold $zero, which no instruction defines, so all three are
+		// read unconditionally.
+		if s.regReady[pre.Uses[0]] > needAt || s.regReady[pre.Uses[1]] > needAt || s.regReady[pre.Uses[2]] > needAt {
 			cause = obs.StallOperand
 			break
 		}
 
 		var resultReady uint64
-		switch q.pre.Class {
+		switch pre.Class {
 		case isa.ClassIntALU, isa.ClassBranch, isa.ClassJump, isa.ClassSyscall:
 			if aluUsed >= s.cfg.IntALUs {
 				cause = obs.StallUnit
@@ -632,7 +620,7 @@ func (s *sim) issue(now uint64) (int, obs.StallCause, error) {
 				cause = obs.StallMemPort
 				goto stall
 			}
-			ok, rdy := s.scheduleLoad(q, now)
+			ok, rdy := s.scheduleLoad(tr, pre, now)
 			if !ok {
 				cause = obs.StallMemPort
 				goto stall
@@ -642,14 +630,14 @@ func (s *sim) issue(now uint64) (int, obs.StallCause, error) {
 			s.stats.Loads++
 			s.stats.LoadLatency.Add(rdy - now)
 			if s.pred != nil {
-				s.pred.Train(q.pc, q.effAddr)
+				s.pred.Train(tr.PC, tr.EffAddr)
 			}
 		case isa.ClassStore:
 			if memIssued >= s.cfg.LoadStore {
 				cause = obs.StallMemPort
 				goto stall
 			}
-			if !s.scheduleStore(q, now) {
+			if !s.scheduleStore(tr, pre, now) {
 				// Distinguish a full store buffer from a busy cache port.
 				if s.sbLen >= s.cfg.StoreBufferEntries {
 					cause = obs.StallStoreBuffer
@@ -662,16 +650,16 @@ func (s *sim) issue(now uint64) (int, obs.StallCause, error) {
 			resultReady = now + 1 // post-increment base writeback
 			s.stats.Stores++
 			if s.pred != nil {
-				s.pred.Train(q.pc, q.effAddr)
+				s.pred.Train(tr.PC, tr.EffAddr)
 			}
 		}
 
 		// Update the scoreboard. Post-increment memory ops write their base
 		// register from the AGU one cycle after issue regardless of the
 		// access latency.
-		for _, d := range q.pre.Defs[:q.pre.NDefs] {
+		for _, d := range pre.Defs[:pre.NDefs] {
 			rdy := resultReady
-			if q.pre.Flags&isa.PrePostInc != 0 && d == q.pre.BaseU {
+			if pre.Flags&isa.PrePostInc != 0 && d == pre.BaseU {
 				rdy = now + 1
 			}
 			s.regReady[d] = rdy
@@ -680,30 +668,30 @@ func (s *sim) issue(now uint64) (int, obs.StallCause, error) {
 		s.stats.Insts++
 		if s.sink != nil {
 			var addr uint32
-			if q.pre.IsMem() {
-				addr = q.effAddr
+			if pre.IsMem() {
+				addr = tr.EffAddr
 			}
-			s.sink.Event(obs.Event{Kind: obs.KindIssue, Cycle: now, PC: q.pc, Addr: addr, Val: resultReady})
+			s.sink.Event(obs.Event{Kind: obs.KindIssue, Cycle: now, PC: tr.PC, Addr: addr, Val: resultReady})
 		}
-		s.pendPop()
+		s.issueIdx++
 		issued++
 		continue
 
 	stall:
 		break
 	}
-	return issued, cause, nil
+	return issued, cause
 }
 
 // facEligible reports whether the access may consult the prediction
 // machine at this cycle. The register-offset gate models operand
 // availability in the prediction circuit, so it applies only to
 // operand-based machines; a PC-indexed table predicts from the PC alone.
-func (s *sim) facEligible(q *qent, now uint64, isLoad bool) bool {
+func (s *sim) facEligible(pre *isa.Pre, now uint64, isLoad bool) bool {
 	if s.pred == nil {
 		return false
 	}
-	if s.opBased && q.pre.Flags&isa.PreRegOffset != 0 && !s.cfg.SpeculateRegReg {
+	if s.opBased && pre.Flags&isa.PreRegOffset != 0 && !s.cfg.SpeculateRegReg {
 		return false
 	}
 	if !isLoad && !s.cfg.SpeculateStores {
@@ -728,25 +716,25 @@ func (s *sim) noteMispredict(now uint64, wasLoad bool) {
 // scheduleLoad books cache bandwidth and computes the cycle the loaded
 // value becomes available. It returns ok=false when the load must stall
 // this cycle for a structural hazard.
-func (s *sim) scheduleLoad(q *qent, now uint64) (bool, uint64) {
+func (s *sim) scheduleLoad(tr *emu.Trace, pre *isa.Pre, now uint64) (bool, uint64) {
 	noPred := false
-	if s.facEligible(q, now, true) {
+	if s.facEligible(pre, now, true) {
 		// Predict is pure, so calling it before the port check is safe: a
 		// stalled load re-predicts identically next cycle (in-order issue
 		// keeps the stalled head blocking, so no training intervenes).
-		r := s.pred.Predict(q.pc, q.base, q.offset, q.isRegOff)
+		r := s.pred.Predict(tr.PC, tr.Base, tr.Offset, tr.IsRegOffset)
 		if r.Spec {
 			if !s.readFree(now) {
 				return false, 0
 			}
-			ok, fail := resolve(r, q.effAddr)
+			ok, fail := resolve(r, tr.EffAddr)
 			s.stats.LoadsSpeculated++
 			s.useRead(now)
 			if s.sink != nil {
-				s.sink.Event(obs.Event{Kind: obs.KindFACPredict, Flags: valFlags(q), Fail: fail, Cycle: now, PC: q.pc, Addr: r.Addr, Val: uint64(q.memVal)})
+				s.sink.Event(obs.Event{Kind: obs.KindFACPredict, Flags: valFlags(tr), Fail: fail, Cycle: now, PC: tr.PC, Addr: r.Addr, Val: uint64(tr.MemVal)})
 			}
 			if ok {
-				ready := s.dcacheAccess(q.effAddr, false, now)
+				ready := s.dcacheAccess(tr.EffAddr, false, now)
 				return true, maxU64(ready+1, now+1)
 			}
 			// Misprediction: the EX-cycle access is wasted; the load replays in
@@ -758,9 +746,9 @@ func (s *sim) scheduleLoad(q *qent, now uint64) (bool, uint64) {
 			s.noteMispredict(now, true)
 			s.useRead(now + 1)
 			if s.sink != nil {
-				s.sink.Event(obs.Event{Kind: obs.KindReplay, Cycle: now + 1, PC: q.pc, Addr: q.effAddr})
+				s.sink.Event(obs.Event{Kind: obs.KindReplay, Cycle: now + 1, PC: tr.PC, Addr: tr.EffAddr})
 			}
-			ready := s.dcacheAccess(q.effAddr, false, now+1)
+			ready := s.dcacheAccess(tr.EffAddr, false, now+1)
 			return true, maxU64(ready+1, now+2)
 		}
 		// The machine declined to predict: the load proceeds down the
@@ -775,18 +763,18 @@ func (s *sim) scheduleLoad(q *qent, now uint64) (bool, uint64) {
 	if noPred {
 		s.stats.LoadsNoPredict++
 		if s.sink != nil {
-			s.sink.Event(obs.Event{Kind: obs.KindFACPredict, Flags: obs.FlagNoPredict | valFlags(q), Cycle: now, PC: q.pc, Val: uint64(q.memVal)})
+			s.sink.Event(obs.Event{Kind: obs.KindFACPredict, Flags: obs.FlagNoPredict | valFlags(tr), Cycle: now, PC: tr.PC, Val: uint64(tr.MemVal)})
 		}
 	}
 	s.useRead(accessCycle)
-	ready := s.dcacheAccess(q.effAddr, false, accessCycle)
+	ready := s.dcacheAccess(tr.EffAddr, false, accessCycle)
 	return true, maxU64(ready+1, accessCycle+1)
 }
 
 // valFlags marks KindFACPredict events whose Val field carries the
 // architectural transferred value (integer accesses; see emu.Trace).
-func valFlags(q *qent) obs.Flags {
-	if q.hasVal {
+func valFlags(tr *emu.Trace) obs.Flags {
+	if tr.HasMemVal {
 		return obs.FlagHasVal
 	}
 	return 0
@@ -808,7 +796,7 @@ func resolve(r predict.Result, effAddr uint32) (bool, fac.Failure) {
 }
 
 // scheduleStore books the store's tag probe and a store-buffer entry.
-func (s *sim) scheduleStore(q *qent, now uint64) bool {
+func (s *sim) scheduleStore(tr *emu.Trace, pre *isa.Pre, now uint64) bool {
 	if s.sbLen >= s.cfg.StoreBufferEntries {
 		// Full buffer stalls the pipeline while the oldest entry retires
 		// (handled in retireStores via the forced path).
@@ -816,20 +804,20 @@ func (s *sim) scheduleStore(q *qent, now uint64) bool {
 		return false
 	}
 	noPred := false
-	if s.facEligible(q, now, false) {
-		r := s.pred.Predict(q.pc, q.base, q.offset, q.isRegOff)
+	if s.facEligible(pre, now, false) {
+		r := s.pred.Predict(tr.PC, tr.Base, tr.Offset, tr.IsRegOffset)
 		if r.Spec {
 			if !s.storeFree(now) {
 				return false
 			}
-			ok, fail := resolve(r, q.effAddr)
+			ok, fail := resolve(r, tr.EffAddr)
 			s.stats.StoresSpeculated++
 			s.useStore(now)
 			if s.sink != nil {
-				s.sink.Event(obs.Event{Kind: obs.KindFACPredict, Flags: obs.FlagStore | valFlags(q), Fail: fail, Cycle: now, PC: q.pc, Addr: r.Addr, Val: uint64(q.memVal)})
+				s.sink.Event(obs.Event{Kind: obs.KindFACPredict, Flags: obs.FlagStore | valFlags(tr), Fail: fail, Cycle: now, PC: tr.PC, Addr: r.Addr, Val: uint64(tr.MemVal)})
 			}
 			if ok {
-				s.sbPush(storeEnt{addr: q.effAddr, entered: now})
+				s.sbPush(storeEnt{addr: tr.EffAddr, entered: now})
 				return true
 			}
 			// Mispredicted store: re-probe next cycle with the architectural
@@ -840,9 +828,9 @@ func (s *sim) scheduleStore(q *qent, now uint64) bool {
 			s.noteMispredict(now, false)
 			s.useStore(now + 1)
 			if s.sink != nil {
-				s.sink.Event(obs.Event{Kind: obs.KindReplay, Flags: obs.FlagStore, Cycle: now + 1, PC: q.pc, Addr: q.effAddr})
+				s.sink.Event(obs.Event{Kind: obs.KindReplay, Flags: obs.FlagStore, Cycle: now + 1, PC: tr.PC, Addr: tr.EffAddr})
 			}
-			s.sbPush(storeEnt{addr: q.effAddr, entered: now + 1})
+			s.sbPush(storeEnt{addr: tr.EffAddr, entered: now + 1})
 			return true
 		}
 		noPred = true
@@ -855,11 +843,11 @@ func (s *sim) scheduleStore(q *qent, now uint64) bool {
 	if noPred {
 		s.stats.StoresNoPredict++
 		if s.sink != nil {
-			s.sink.Event(obs.Event{Kind: obs.KindFACPredict, Flags: obs.FlagStore | obs.FlagNoPredict | valFlags(q), Cycle: now, PC: q.pc, Val: uint64(q.memVal)})
+			s.sink.Event(obs.Event{Kind: obs.KindFACPredict, Flags: obs.FlagStore | obs.FlagNoPredict | valFlags(tr), Cycle: now, PC: tr.PC, Val: uint64(tr.MemVal)})
 		}
 	}
 	s.useStore(probeCycle)
-	s.sbPush(storeEnt{addr: q.effAddr, entered: probeCycle})
+	s.sbPush(storeEnt{addr: tr.EffAddr, entered: probeCycle})
 	return true
 }
 

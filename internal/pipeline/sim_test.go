@@ -333,6 +333,28 @@ func TestICacheMissDelaysFetch(t *testing.T) {
 	}
 }
 
+// TestICacheAccessPerTraceOutsideFirstBlock pins how fetch counts
+// I-cache accesses: one for the group's first block, then one for every
+// instruction of the group outside that block, not one per block. A
+// four-wide group starting two instructions before a 32-byte boundary
+// makes 1 + 2 accesses: the two second-block accesses hit the block
+// the first of them is filling (a delayed hit).
+func TestICacheAccessPerTraceOutsideFirstBlock(t *testing.T) {
+	cfg := fastCfg()
+	cfg.PerfectICache = false
+	trs := make([]emu.Trace, 4)
+	pc := uint32(0x400018) // 0x400018 and 0x40001c, then 0x400020 and 0x400024
+	for i := range trs {
+		in := isa.Inst{Op: isa.ADD, Rd: isa.Reg(8 + i), Rs: isa.Zero, Rt: isa.Zero}
+		trs[i] = emu.Trace{PC: pc, Inst: in, NextPC: pc + 4}
+		pc += 4
+	}
+	st := mustRun(t, cfg, trs)
+	if st.ICache.Accesses != 3 || st.ICache.Misses != 2 || st.ICache.DelayedHits != 1 {
+		t.Errorf("icache = %+v, want 3 accesses (1 + one per second-block instruction), 2 misses, 1 delayed hit", st.ICache)
+	}
+}
+
 // TestDCacheMissLatency: a cold load miss delays its dependents.
 func TestDCacheMissLatency(t *testing.T) {
 	cfg := fastCfg()
@@ -446,6 +468,8 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		func(c *Config) { c.DCacheReadsPerCycle = 0 },
 		func(c *Config) { c.StoreBufferEntries = 0 },
 		func(c *Config) { c.ICache.BlockSize = 33 },
+		func(c *Config) { c.FetchWidth, c.IssueWidth = 400, 300 }, // issue queue 1100 > one ring slot
+		func(c *Config) { c.BTBEntries = 1000 },
 	}
 	for i, mut := range bad {
 		cfg := DefaultConfig()

@@ -1,20 +1,25 @@
 // Command benchsmoke is CI's throughput gate: a same-host A/B of
-// BenchmarkPipeline between the working tree and a base revision.
+// BenchmarkPipeline and BenchmarkPipelineGroup between the working tree
+// and a base revision.
 //
 //	go run ./scripts/benchsmoke -ref BENCH_pipeline.json
 //
 // It exports the base revision with git archive (no network), builds the
 // root package's test binary there and in the working tree, and runs
-// five alternating base/head pairs of BenchmarkPipeline -benchtime 1x
-// samples, each writing its report to a temporary file through BENCH_OUT.
-// It fails when
+// five alternating base/head pairs of -benchtime 1x samples of each
+// benchmark. BenchmarkPipeline writes its report to a temporary file
+// through BENCH_OUT; BenchmarkPipelineGroup's throughput is read from its
+// Mcycles/s metric. It fails when
 //
 //   - a head report is malformed (wrong schema, no records, missing
 //     throughput metric);
 //   - a head report's simulated timing differs from the committed
 //     artifact in any field: throughput work must never change results;
-//   - the median head/base mcycles_per_sec ratio over the pairs is more
-//     than -max-regression (default 20%) below 1.
+//   - the median head/base throughput ratio of either benchmark over the
+//     pairs is more than -max-regression (default 20%) below 1.
+//
+// A base revision that predates BenchmarkPipelineGroup has no group
+// pairs; the gate then says so and compares BenchmarkPipeline alone.
 //
 // The base is HEAD when the working tree has uncommitted changes;
 // otherwise HEAD~1 on main, or the merge-base with main on any other
@@ -31,6 +36,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/obs"
@@ -98,7 +104,30 @@ func smoke(ref string, maxReg float64) error {
 		}
 		return rep, tp, nil
 	}
+	// groupSample runs one BenchmarkPipelineGroup iteration and returns
+	// its throughput.
+	groupSample := func(bin, name string) (float64, error) {
+		out, err := output(tmp, bin, "-test.run", "^$", "-test.bench", "^BenchmarkPipelineGroup$", "-test.benchtime", "1x", "-test.timeout", "10m")
+		if err != nil {
+			return 0, fmt.Errorf("%s: %w", name, err)
+		}
+		tp, err := benchMetric(out, "BenchmarkPipelineGroup", "Mcycles/s")
+		if err != nil {
+			return 0, fmt.Errorf("%s: %w", name, err)
+		}
+		return tp, nil
+	}
+	list, err := output(tmp, baseBin, "-test.list", "^BenchmarkPipelineGroup$")
+	if err != nil {
+		return fmt.Errorf("list base benchmarks: %w", err)
+	}
+	group := strings.TrimSpace(list) == "BenchmarkPipelineGroup"
+	if !group {
+		fmt.Printf("benchsmoke: base %s has no BenchmarkPipelineGroup; comparing BenchmarkPipeline alone\n", base)
+	}
+
 	ratios := make([]float64, pairs)
+	var groupRatios []float64
 	for i := range ratios {
 		var baseTp, headTp float64
 		var headRep *obs.Report
@@ -125,15 +154,59 @@ func smoke(ref string, maxReg float64) error {
 		}
 		ratios[i] = headTp / baseTp
 		fmt.Printf("benchsmoke: pair %d: base %.2f, head %.2f Mcycles/s (head/base %.3f)\n", i+1, baseTp, headTp, ratios[i])
+		if !group {
+			continue
+		}
+		for j := range 2 {
+			if (i+j)%2 == 0 {
+				baseTp, err = groupSample(baseBin, fmt.Sprintf("base group %d", i))
+			} else {
+				headTp, err = groupSample(headBin, fmt.Sprintf("head group %d", i))
+			}
+			if err != nil {
+				return err
+			}
+		}
+		groupRatios = append(groupRatios, headTp/baseTp)
+		fmt.Printf("benchsmoke: group pair %d: base %.2f, head %.2f Mcycles/s (head/base %.3f)\n", i+1, baseTp, headTp, headTp/baseTp)
 	}
 
-	med := median(ratios)
-	fmt.Printf("benchsmoke: median head/base throughput %.3f over %d pairs vs %s (bound %.2f)\n",
-		med, len(ratios), base, 1-maxReg)
-	if med < 1-maxReg {
-		return fmt.Errorf("throughput regressed %.1f%% vs %s (max %.0f%%)", 100*(1-med), base, 100*maxReg)
+	for _, g := range []struct {
+		name   string
+		ratios []float64
+	}{{"BenchmarkPipeline", ratios}, {"BenchmarkPipelineGroup", groupRatios}} {
+		if len(g.ratios) == 0 {
+			continue
+		}
+		med := median(g.ratios)
+		fmt.Printf("benchsmoke: %s: median head/base throughput %.3f over %d pairs vs %s (bound %.2f)\n",
+			g.name, med, len(g.ratios), base, 1-maxReg)
+		if med < 1-maxReg {
+			return fmt.Errorf("%s throughput regressed %.1f%% vs %s (max %.0f%%)", g.name, 100*(1-med), base, 100*maxReg)
+		}
 	}
 	return nil
+}
+
+// benchMetric returns the value a `go test -bench` output line of the
+// named benchmark reports in unit.
+func benchMetric(out, bench, unit string) (float64, error) {
+	for _, line := range strings.Split(out, "\n") {
+		f := strings.Fields(line)
+		if len(f) == 0 || (f[0] != bench && !strings.HasPrefix(f[0], bench+"-")) {
+			continue
+		}
+		for k := 1; k+1 < len(f); k++ {
+			if f[k+1] == unit {
+				v, err := strconv.ParseFloat(f[k], 64)
+				if err != nil || v <= 0 {
+					return 0, fmt.Errorf("%s: bad %s value %q", bench, unit, f[k])
+				}
+				return v, nil
+			}
+		}
+	}
+	return 0, fmt.Errorf("no %s metric for %s in the benchmark output", unit, bench)
 }
 
 // baseRevision is the revision the working tree in dir ("" for the
@@ -182,6 +255,20 @@ func git(dir string, args ...string) (string, error) {
 		return "", fmt.Errorf("git %s: %w", strings.Join(args, " "), err)
 	}
 	return strings.TrimSpace(string(out)), nil
+}
+
+// output runs a command in dir and returns its standard output; its
+// standard error is shown only when it fails.
+func output(dir, name string, args ...string) (string, error) {
+	cmd := exec.Command(name, args...)
+	cmd.Dir = dir
+	var stderr strings.Builder
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		return "", fmt.Errorf("%w\n%s%s", err, out, stderr.String())
+	}
+	return string(out), nil
 }
 
 // run runs a command in dir ("" for the current one) with extra

@@ -64,3 +64,17 @@ func TestBaseRevision(t *testing.T) {
 		t.Errorf("detached HEAD at main: base %q, %v; want an error", got, err)
 	}
 }
+
+// TestBenchMetric reads a custom metric off `go test -bench` output.
+func TestBenchMetric(t *testing.T) {
+	out := "goos: linux\nBenchmarkPipelineGroup-2   \t       1\t 428117253 ns/op\t        51.57 Mcycles/s\nPASS\n"
+	if v, err := benchMetric(out, "BenchmarkPipelineGroup", "Mcycles/s"); err != nil || v != 51.57 {
+		t.Errorf("benchMetric = %v, %v; want 51.57", v, err)
+	}
+	if _, err := benchMetric(out, "BenchmarkPipeline", "Mcycles/s"); err == nil {
+		t.Error("a longer benchmark name matched BenchmarkPipeline")
+	}
+	if _, err := benchMetric(out, "BenchmarkPipelineGroup", "Minsts/s"); err == nil {
+		t.Error("a missing unit was found")
+	}
+}

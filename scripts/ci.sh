@@ -40,20 +40,24 @@
 #                                    fleet soak with a worker SIGKILL, a
 #                                    byte-identical report and the
 #                                    coordinator's drain identity)
-#   bench smoke               ~10s  (scripts/benchsmoke: a same-host A/B.
+#   bench smoke               ~30s  (scripts/benchsmoke: a same-host A/B.
 #                                    It exports the base revision (HEAD
 #                                    when the tree has uncommitted
 #                                    changes, else HEAD~1 on main or the
 #                                    merge-base with main) with git
 #                                    archive, builds both test binaries,
 #                                    and runs 5 alternating base/head
-#                                    BenchmarkPipeline -benchtime 1x
-#                                    pairs. Each head report must have
-#                                    the right schema and match the
+#                                    -benchtime 1x pairs of
+#                                    BenchmarkPipeline and of
+#                                    BenchmarkPipelineGroup (17 machines
+#                                    on one stream; skipped when the base
+#                                    predates it). Each head report must
+#                                    have the right schema and match the
 #                                    committed BENCH_pipeline.json's
-#                                    simulated timing exactly; the median
-#                                    head/base Mcycles/s ratio must be at
-#                                    least 0.8, i.e. <=20% regression)
+#                                    simulated timing exactly; each
+#                                    benchmark's median head/base
+#                                    Mcycles/s ratio must be at least
+#                                    0.8, i.e. <=20% regression)
 #
 # The fuzz smoke stage runs each differential fuzz target briefly against
 # its committed seed corpus plus a few seconds of mutation, so a crasher
